@@ -98,10 +98,10 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // Per-element cells: Relaxed load/store is the paper's data-plane
     // contract (element visibility is ordered by snapshot publication).
     "crates/rcuarray/src/element.rs",
-    // Pre-facade crates, audited wholesale: the abstract model checker,
-    // the educational single-pointer RCU, and the baseline arrays.
+    // Pre-facade crates, audited wholesale: the abstract model checker
+    // and the baseline arrays (whose hazard-pointer domain uses Relaxed
+    // only for its statistics counters and the slot-claim hint).
     "crates/model/",
-    "crates/rcu/",
     "crates/baselines/",
     "crates/collections/",
     "crates/bench/",
@@ -129,9 +129,7 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // debug_assert sanity load directly before the Release store that
     // actually publishes the checkpoint.
     "crates/qsbr/src/record.rs",
-    // Test modules: stop flags joined by scope exit, plus the
-    // should_panic test naming the OrderingMode::Relaxed variant.
-    "crates/ebr/src/rcu_cell.rs",
+    // Test module: stop flags joined by scope exit.
     "crates/ebr/tests/cell_model.rs",
     // should_panic test naming the OrderingMode::Relaxed variant.
     "crates/rcuarray/src/config.rs",
@@ -205,10 +203,9 @@ pub const SYNC_ALLOWLIST: &[&str] = &[
     // The facade itself wraps the std types.
     "crates/analysis/",
     // Not-yet-migrated crates (tracked in ROADMAP): the model checker,
-    // single-pointer RCU, baselines, collections, bench harness, and the
-    // unmigrated parts of the simulated runtime.
+    // baselines, collections, bench harness, and the unmigrated parts of
+    // the simulated runtime.
     "crates/model/",
-    "crates/rcu/",
     "crates/baselines/",
     "crates/collections/",
     "crates/bench/",

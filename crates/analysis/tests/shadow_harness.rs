@@ -11,11 +11,11 @@
 
 #![cfg(feature = "check")]
 
+use rcuarray_analysis::atomic::{AtomicPtr, Ordering};
 use rcuarray_analysis::shadow::TrackedCell;
 use rcuarray_analysis::{thread, Checker, Config, Policy, ShadowKind};
-use rcuarray_baselines::HazardDomain;
-use rcuarray_reclaim::{Reclaim, Retired};
-use std::sync::atomic::{AtomicPtr, Ordering};
+use rcuarray_baselines::{HazardDomain, HazardGuard};
+use rcuarray_reclaim::{Reclaim, ReclaimStats, Retired};
 use std::sync::Arc;
 
 fn dpor_config(budget: usize) -> Config {
@@ -140,43 +140,133 @@ fn deliberate_leak_is_not_reported() {
     assert!(report.leaks.is_empty(), "{report}");
 }
 
-/// The hazard-pointer baseline's protect-revalidate path, tracked end to
-/// end: the reader protects the pointer and reads the tracked payload;
-/// the writer retires it through the domain afterwards, so the oracle
-/// must see destructor-after-read and stay quiet.
+/// The hazard-pointer handshake under the oracle: a reader protects the
+/// published pointer through `R::protect` and touches the tracked payload
+/// while the writer concurrently unlinks the pointer and retires it
+/// through the same domain — nothing joins the reader first, so DPOR
+/// explores the protect/validate steps against the unlink/scan steps.
 ///
-/// The reader is drained (joined) before the retire: the baseline's slot
-/// scan spins on bare std atomics, which the cooperative scheduler can
-/// neither observe nor preempt — a schedule that runs the scan against a
-/// still-set hazard would wedge. That also means the hazard handshake
-/// itself contributes no interleavings here; what the oracle checks is
-/// the retire→reclaim lifecycle threading through `HazardDomain::retire`.
+/// The payload's storage outlives the scenario and the retire closure
+/// frees nothing: the tracked cell stands in for the dereference, so a
+/// broken protocol shows up as a shadow report, never as a real
+/// use-after-free in the test process.
+fn hazard_handshake<R: Reclaim + Default>() {
+    let domain = Arc::new(R::default());
+    let cell = Arc::new(TrackedCell::new("hazard-payload", 11u64));
+    let payload = Box::into_raw(Box::new(11u64));
+    let src = Arc::new(AtomicPtr::new(payload));
+
+    let (d2, c2, s2) = (domain.clone(), cell.clone(), src.clone());
+    let reader = thread::spawn(move || {
+        let (_guard, p) = d2.protect(&s2);
+        if !p.is_null() {
+            assert_eq!(c2.read(), 11);
+        }
+    });
+
+    let old = src.swap(std::ptr::null_mut(), Ordering::SeqCst);
+    domain.retire(Retired::with_hint(8, old as usize, || {}).tracked(cell.id()));
+    reader.join().unwrap();
+    // SAFETY: the reader has joined and the source no longer holds it.
+    drop(unsafe { Box::from_raw(payload) });
+}
+
+/// The writer's slot scan spin-waits while the reader's hazard is set,
+/// and every extra spin iteration is a new dependence race with the
+/// reader's clearing store: unbounded, DPOR would extend that chain
+/// forever before backtracking to shallower branches. The step cap cuts
+/// each chain (those runs abort as budget-exhausted), so the exploration
+/// completes and reaches every shallow branch — including the one the
+/// mutation below needs.
+fn hazard_dpor_config() -> Config {
+    Config {
+        max_steps: 700,
+        ..dpor_config(4000)
+    }
+}
+
+/// The real `HazardDomain` is clean on every explored schedule. Runs cut
+/// off mid-spin end with the payload still retired, which the oracle
+/// reports as a leak: there is at most one per aborted run.
 #[test]
 fn hazard_protect_revalidate_clean_under_dpor() {
-    let report = Checker::new(dpor_config(128)).run(|| {
-        let domain = Arc::new(HazardDomain::new());
-        let cell = Arc::new(TrackedCell::new("hazard-payload", 11u64));
-        let src = Arc::new(AtomicPtr::new(Box::into_raw(Box::new(11u64))));
-
-        let (d2, c2, s2) = (domain.clone(), cell.clone(), src.clone());
-        let reader = thread::spawn(move || {
-            let guard = d2.read_lock();
-            let p = guard.protect(&s2);
-            // SAFETY: protected above, and the retire runs after join.
-            let raw = unsafe { *p };
-            assert_eq!(raw, c2.read());
-        });
-        reader.join().unwrap();
-
-        let addr = src.load(Ordering::SeqCst) as usize;
-        domain.retire(
-            Retired::with_hint(std::mem::size_of::<u64>(), addr, move || {
-                // SAFETY: single owner; the only reader has joined.
-                drop(unsafe { Box::from_raw(addr as *mut u64) });
-            })
-            .tracked(cell.id()),
-        );
-    });
+    let report = Checker::new(hazard_dpor_config()).run(hazard_handshake::<HazardDomain>);
     assert!(report.is_clean(), "{report}");
-    assert!(report.leaks.is_empty(), "{report}");
+    assert!(
+        report.leaks.len() <= report.budget_exhausted.len(),
+        "{report}"
+    );
+    let dpor = report.dpor.as_ref().unwrap();
+    assert!(dpor.complete, "{dpor}");
+}
+
+/// Seeded mutation: hazard pointers whose `protect` publishes the loaded
+/// pointer but skips the SeqCst re-validation load. A writer can then
+/// unlink and scan between the reader's load and its publication, and
+/// free the object the reader goes on to use.
+#[derive(Default)]
+struct SkipRevalidate(HazardDomain);
+
+impl Reclaim for SkipRevalidate {
+    type Guard<'a> = HazardGuard<'a>;
+
+    fn read_lock(&self) -> HazardGuard<'_> {
+        self.0.read_lock()
+    }
+
+    fn protect<'a, T>(&'a self, src: &AtomicPtr<T>) -> (HazardGuard<'a>, *mut T) {
+        let guard = self.0.read_lock();
+        let p = src.load(Ordering::Acquire);
+        guard.publish(p);
+        (guard, p)
+    }
+
+    fn retire(&self, retired: Retired) {
+        self.0.retire(retired)
+    }
+
+    fn quiesce(&self) -> usize {
+        0
+    }
+
+    fn guards_reads(&self) -> bool {
+        true
+    }
+
+    fn name(&self) -> &'static str {
+        "hazard-skip-revalidate"
+    }
+
+    fn reclaim_stats(&self) -> ReclaimStats {
+        self.0.reclaim_stats()
+    }
+}
+
+#[test]
+fn hazard_skipped_revalidation_caught_on_every_dpor_run() {
+    for round in 0..2 {
+        let report = Checker::new(hazard_dpor_config()).run(hazard_handshake::<SkipRevalidate>);
+        assert!(
+            !report.shadow.is_empty(),
+            "round {round}: skipped re-validation not caught: {report}"
+        );
+        let v = report.shadow[0].clone();
+        assert_eq!(v.kind, ShadowKind::UseAfterReclaim, "round {round}: {v}");
+        assert_eq!(v.label, "hazard-payload");
+        let schedule = v
+            .schedule
+            .clone()
+            .expect("DPOR violations carry a schedule");
+
+        let replay = Checker::replay(
+            schedule.as_str(),
+            &Config::default(),
+            hazard_handshake::<SkipRevalidate>,
+        );
+        assert!(
+            !replay.shadow.is_empty(),
+            "round {round}: schedule {schedule:?} did not reproduce"
+        );
+        assert_eq!(replay.shadow[0].kind, ShadowKind::UseAfterReclaim);
+    }
 }

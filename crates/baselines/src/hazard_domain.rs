@@ -1,63 +1,58 @@
-//! `HazardDomain`: Michael's hazard pointers (2004) behind the
-//! workspace-wide [`Reclaim`] trait.
+//! Michael's hazard pointers (2004) as an `RcuArray` reclamation scheme.
 //!
 //! This is the third point in the reclamation design space the paper's §I
-//! surveys (after EBR and QSBR), packaged as a reusable engine so the
-//! comparison runs through the same trait as every other scheme:
+//! surveys (after EBR and QSBR): "a balanced but noticeable overhead to
+//! both read and write operations". [`HazardDomain`] implements the
+//! workspace-wide [`Reclaim`] trait and [`HazardScheme`] hands one domain
+//! to every locale, so [`HazardArray`] runs the identical privatized
+//! `RcuArray` code path as every other scheme — the comparison isolates
+//! the protocol, not the plumbing.
 //!
-//! * **Readers** take a [`Reclaim::read_lock`] guard and call
-//!   [`HazardGuard::protect`] on the pointer they are about to
-//!   dereference. Protect publishes the pointer's address into the
-//!   thread's hazard slot, then re-validates the source — the same
-//!   store→load ordering requirement as the EBR increment-verify, paid
-//!   per *read* ("a balanced but noticeable overhead to both read and
-//!   write operations").
+//! * **Readers** go through [`Reclaim::protect`]: claim a free hazard
+//!   slot, publish the pointer about to be dereferenced into it, then
+//!   re-validate the source — the same store→load ordering requirement
+//!   as the EBR increment-verify, paid per *read*.
 //! * **Writers** retire an unlinked pointer with an address hint
-//!   ([`Retired::with_hint`]); [`Reclaim::retire`] scans every claimed
-//!   slot and spins until none still holds that address, then frees
+//!   ([`Retired::with_hint`]); [`Reclaim::retire`] scans every slot and
+//!   waits until none still holds that address, then frees
 //!   synchronously. Retiring without an address hint skips the scan (no
 //!   reader can have protected an address the writer never published).
 //!
-//! Hazard slots are assigned per `(thread, domain)` pair, sticky for the
-//! domain's lifetime. Guards on one thread share the thread's slot, so
-//! read-side critical sections must not nest; [`Reclaim::read_lock`]
-//! panics if a guard for this domain is already live on the calling
-//! thread (the inner guard's protect would silently overwrite the outer
-//! guard's protection).
+//! Slots belong to guards, not threads: a guard claims any free slot and
+//! releases it on drop, so nested guards each hold their own slot and a
+//! thread that exits leaves nothing behind. A thread-local hint starts
+//! each claim at the slot the thread used last, which keeps a reader on
+//! one cache-warm slot.
+//!
+//! Every atomic goes through the `rcuarray-analysis` facade and the scan
+//! yields through it, so the whole handshake runs under the checker.
 
+use rcuarray::{Config, RcuArray, Scheme};
+use rcuarray_analysis::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use rcuarray_reclaim::{Reclaim, ReclaimStats, Retired};
-use std::cell::RefCell;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::cell::Cell;
 
-/// Maximum threads that may ever touch one `HazardDomain`.
-pub const MAX_THREADS: usize = 256;
-
-/// Unique domain ids for the TLS slot cache.
-static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
+/// Maximum guards that may be live on one `HazardDomain` at once.
+pub const MAX_GUARDS: usize = 256;
 
 thread_local! {
-    /// Per-domain slot map: (domain id, hazard slot index) pairs for every
-    /// domain this thread has touched. A thread keeps exactly one sticky
-    /// slot per domain no matter how it interleaves domains.
-    static SLOT_CACHE: RefCell<Vec<(u64, usize)>> = const { RefCell::new(Vec::new()) };
+    /// The slot this thread claimed last, in whichever domain: where its
+    /// next claim starts looking.
+    static SLOT_HINT: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
-/// One hazard slot, cache-line padded: the address this thread is about
-/// to dereference (or 0), plus whether a guard currently owns the slot.
+/// One hazard slot, cache-line padded: the address a reader is about to
+/// dereference (or 0), plus whether a guard currently owns the slot.
 #[repr(align(64))]
 #[derive(Default)]
 struct HazardSlot {
     addr: AtomicUsize,
-    /// Set while a [`HazardGuard`] over this slot is live; detects nested
-    /// `read_lock` on one thread, which would corrupt the protection.
     occupied: AtomicBool,
 }
 
 /// A hazard-pointer reclamation engine (see [module docs](self)).
 pub struct HazardDomain {
-    id: u64,
-    hazards: Box<[HazardSlot]>,
-    next_slot: AtomicUsize,
+    slots: Box<[HazardSlot]>,
     guards: AtomicU64,
     guard_retries: AtomicU64,
     retired: AtomicU64,
@@ -65,36 +60,15 @@ pub struct HazardDomain {
 }
 
 impl HazardDomain {
-    /// A fresh domain with [`MAX_THREADS`] slots.
+    /// A fresh domain with [`MAX_GUARDS`] slots.
     pub fn new() -> Self {
         HazardDomain {
-            id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
-            hazards: (0..MAX_THREADS).map(|_| HazardSlot::default()).collect(),
-            next_slot: AtomicUsize::new(0),
+            slots: (0..MAX_GUARDS).map(|_| HazardSlot::default()).collect(),
             guards: AtomicU64::new(0),
             guard_retries: AtomicU64::new(0),
             retired: AtomicU64::new(0),
             guard_panics: AtomicU64::new(0),
         }
-    }
-
-    /// The calling thread's hazard slot for this domain (assigned once
-    /// per `(thread, domain)` pair; alternating between domains reuses
-    /// each domain's slot rather than claiming fresh ones).
-    fn slot(&self) -> usize {
-        SLOT_CACHE.with(|c| {
-            let mut cache = c.borrow_mut();
-            if let Some(&(_, slot)) = cache.iter().find(|&&(id, _)| id == self.id) {
-                return slot;
-            }
-            let slot = self.next_slot.fetch_add(1, Ordering::Relaxed);
-            assert!(
-                slot < MAX_THREADS,
-                "more than {MAX_THREADS} threads touched one HazardDomain"
-            );
-            cache.push((self.id, slot));
-            slot
-        })
     }
 }
 
@@ -107,32 +81,42 @@ impl Default for HazardDomain {
 impl std::fmt::Debug for HazardDomain {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HazardDomain")
-            .field("claimed_slots", &self.next_slot.load(Ordering::Relaxed))
+            .field("stats", &self.reclaim_stats())
             .finish()
     }
 }
 
-/// A read-side guard over one thread's hazard slot. Dropping it clears
-/// the slot (even on panic — a leaked hazard would spin every future
-/// retire forever).
+/// A read-side guard owning one hazard slot. Dropping it clears and frees
+/// the slot (even on panic — a leaked hazard would stall every future
+/// retire of that address).
 pub struct HazardGuard<'a> {
     domain: &'a HazardDomain,
     slot: usize,
 }
 
 impl HazardGuard<'_> {
+    /// Publish `p` into this guard's slot. Half of the protocol only:
+    /// `p` is safe to dereference once the source is re-read and still
+    /// holds it, which is what the domain's [`Reclaim::protect`] adds.
+    #[inline]
+    pub fn publish<T>(&self, p: *mut T) {
+        self.domain.slots[self.slot]
+            .addr
+            .store(p as usize, Ordering::SeqCst);
+    }
+
     /// Michael's protect-validate loop: publish the pointer currently in
-    /// `src` into this thread's hazard slot and return it once the
-    /// publication provably happened before any concurrent unlink.
+    /// `src` and return it once the publication provably happened before
+    /// any concurrent unlink.
     ///
     /// The returned pointer stays safe to dereference until the next
-    /// `protect` call through this guard (which overwrites the slot) or
-    /// the guard is dropped.
-    pub fn protect<T>(&self, src: &AtomicPtr<T>) -> *mut T {
-        let slot = &self.domain.hazards[self.slot].addr;
+    /// `protect` through this guard (which overwrites the slot) or the
+    /// guard drops.
+    #[inline]
+    fn protect<T>(&self, src: &AtomicPtr<T>) -> *mut T {
         loop {
             let p = src.load(Ordering::Acquire);
-            slot.store(p as usize, Ordering::SeqCst);
+            self.publish(p);
             // The hazard store must be visible before the re-validation,
             // or a concurrent retire could both miss the hazard and have
             // us miss the swap.
@@ -146,12 +130,12 @@ impl HazardGuard<'_> {
 
 impl Drop for HazardGuard<'_> {
     fn drop(&mut self) {
-        let slot = &self.domain.hazards[self.slot];
+        let slot = &self.domain.slots[self.slot];
         slot.addr.store(0, Ordering::Release);
         slot.occupied.store(false, Ordering::Release);
         // A panicking reader still cleared its hazard and freed the slot
         // (the two stores above) — count it so chaos runs can assert no
-        // retire ever wedged on a dead reader's slot.
+        // retire ever waited on a dead reader's slot.
         if std::thread::panicking() {
             self.domain.guard_panics.fetch_add(1, Ordering::Relaxed);
         }
@@ -161,20 +145,26 @@ impl Drop for HazardGuard<'_> {
 impl Reclaim for HazardDomain {
     type Guard<'a> = HazardGuard<'a>;
 
+    /// Claim a free slot, starting at this thread's last one.
+    ///
     /// # Panics
-    /// If the calling thread already holds a live guard for this domain:
-    /// guards share the thread's single hazard slot, so a nested guard
-    /// would overwrite the outer guard's protection and its drop would
-    /// clear the slot while the outer guard still relies on it.
+    /// If [`MAX_GUARDS`] guards are already live on this domain.
     fn read_lock(&self) -> HazardGuard<'_> {
-        self.guards.fetch_add(1, Ordering::Relaxed);
-        let slot = self.slot();
-        assert!(
-            !self.hazards[slot].occupied.swap(true, Ordering::Acquire),
-            "nested HazardDomain::read_lock on one thread: drop the outer \
-             guard before taking another (guards share the thread's slot)"
-        );
+        let n = self.guards.fetch_add(1, Ordering::Relaxed) as usize;
+        let start = SLOT_HINT.with(Cell::get).unwrap_or(n);
+        let slot = (0..MAX_GUARDS)
+            .map(|i| (start + i) % MAX_GUARDS)
+            .find(|&s| !self.slots[s].occupied.swap(true, Ordering::Acquire))
+            .unwrap_or_else(|| panic!("more than {MAX_GUARDS} live guards on one HazardDomain"));
+        SLOT_HINT.with(|h| h.set(Some(slot)));
         HazardGuard { domain: self, slot }
+    }
+
+    #[inline]
+    fn protect<'a, T>(&'a self, src: &AtomicPtr<T>) -> (HazardGuard<'a>, *mut T) {
+        let guard = self.read_lock();
+        let p = guard.protect(src);
+        (guard, p)
     }
 
     fn retire(&self, retired: Retired) {
@@ -187,12 +177,10 @@ impl Reclaim for HazardDomain {
             // the object freed under it. (`protect` pairs with this via
             // its SeqCst hazard store + validation load.)
             fence(Ordering::SeqCst);
-            // Scan every slot unconditionally (they are zero-initialized):
-            // bounding by `next_slot` would race a concurrent Relaxed slot
-            // claim and skip a thread that is mid-validation.
-            for slot in self.hazards.iter() {
+            // Scan every slot: a reader may claim any of them.
+            for slot in self.slots.iter() {
                 while slot.addr.load(Ordering::SeqCst) == addr {
-                    std::hint::spin_loop();
+                    rcuarray_analysis::thread::yield_now();
                 }
             }
         }
@@ -228,55 +216,62 @@ impl Reclaim for HazardDomain {
     }
 }
 
+/// Hazard pointers as a [`Scheme`]: every locale's privatized state gets
+/// its own [`HazardDomain`], so reader slots stay node-local like EBR's
+/// per-locale zones.
+///
+/// Retirement is synchronous, so there is never a backlog for
+/// [`Config::pressure`] to bound; and like classic EBR, a reader that
+/// stalls while holding a guard stalls the next retire of its snapshot.
+#[derive(Debug, Default)]
+pub struct HazardScheme;
+
+impl Scheme for HazardScheme {
+    type Reclaim = HazardDomain;
+    const NAME: &'static str = "hazard";
+
+    fn new_shared(_config: &Config) -> Self {
+        HazardScheme
+    }
+
+    fn reclaimer(&self) -> HazardDomain {
+        HazardDomain::new()
+    }
+}
+
+/// An RCUArray whose old snapshots are reclaimed with hazard pointers.
+pub type HazardArray<T> = RcuArray<T, HazardScheme>;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
     #[test]
-    fn slots_are_stable_per_thread() {
+    fn exited_threads_leave_no_slot_behind() {
+        // More short-lived threads than slots: each guard frees its slot
+        // on drop, so none of them runs out.
         let d = HazardDomain::new();
-        let s1 = {
-            let g = d.read_lock();
-            g.slot
-        };
-        let s2 = {
-            let g = d.read_lock();
-            g.slot
-        };
-        assert_eq!(s1, s2, "same thread keeps its slot");
-    }
-
-    #[test]
-    fn alternating_domains_reuse_slots() {
-        // Regression: a one-entry TLS cache allocated a fresh slot on
-        // every domain switch, exhausting MAX_THREADS slots on a single
-        // thread after 256 alternations.
-        let a = HazardDomain::new();
-        let b = HazardDomain::new();
-        for _ in 0..(2 * MAX_THREADS) {
-            drop(a.read_lock());
-            drop(b.read_lock());
+        for _ in 0..(2 * MAX_GUARDS) {
+            std::thread::scope(|s| {
+                s.spawn(|| drop(d.read_lock()));
+            });
         }
-        assert_eq!(a.next_slot.load(Ordering::Relaxed), 1);
-        assert_eq!(b.next_slot.load(Ordering::Relaxed), 1);
+        assert_eq!(d.reclaim_stats().guards, 2 * MAX_GUARDS as u64);
     }
 
     #[test]
-    #[should_panic(expected = "nested HazardDomain::read_lock")]
-    fn nested_read_lock_panics() {
+    fn nested_guards_hold_distinct_slots() {
         let d = HazardDomain::new();
-        let _outer = d.read_lock();
-        let _inner = d.read_lock();
-    }
-
-    #[test]
-    fn guard_drop_releases_the_slot_for_reuse() {
-        let d = HazardDomain::new();
-        drop(d.read_lock());
-        // Not nesting: the previous guard is gone, so the slot is free.
-        drop(d.read_lock());
+        let (a, b) = (AtomicPtr::new(8 as *mut u8), AtomicPtr::new(16 as *mut u8));
+        let (outer, pa) = d.protect(&a);
+        let (inner, pb) = d.protect(&b);
+        assert_ne!(outer.slot, inner.slot);
+        drop(inner);
+        // The outer protection survives the inner guard's drop.
+        assert_eq!(d.slots[outer.slot].addr.load(Ordering::SeqCst), pa as usize);
+        assert_eq!(d.slots[outer.slot].addr.load(Ordering::SeqCst), 8);
+        assert_eq!(pb as usize, 16);
     }
 
     #[test]
@@ -295,9 +290,8 @@ mod tests {
     fn protected_address_gates_retire() {
         let d = Arc::new(HazardDomain::new());
         let cell = AtomicPtr::new(Box::into_raw(Box::new(7u64)));
-        let g = d.read_lock();
-        let p = g.protect(&cell);
-        // SAFETY: protected above; the retire below is still spinning.
+        let (g, p) = d.protect(&cell);
+        // SAFETY: protected above; the retire below is still waiting.
         assert_eq!(unsafe { *p }, 7);
         let freed = Arc::new(AtomicBool::new(false));
         let (d2, f2) = (Arc::clone(&d), Arc::clone(&freed));
@@ -319,41 +313,23 @@ mod tests {
     }
 
     #[test]
-    fn protect_revalidates_against_a_racing_swap() {
-        // Single-threaded simulation of the race: pre-swap the source
-        // between guard creation and protect by using two cells.
-        let d = HazardDomain::new();
-        let a = Box::into_raw(Box::new(1u32));
-        let cell = AtomicPtr::new(a);
-        let g = d.read_lock();
-        assert_eq!(g.protect(&cell), a, "stable source validates first try");
-        drop(g);
-        // SAFETY: test-owned.
-        drop(unsafe { Box::from_raw(a) });
-    }
-
-    #[test]
     fn panicked_reader_releases_slot_and_is_counted() {
         let d = HazardDomain::new();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _g = d.read_lock();
+            let (_g, _) = d.protect(&AtomicPtr::new(0xdead_beef as *mut u8));
             panic!("reader died");
         }));
         assert!(r.is_err());
-        // The slot is free again: a fresh guard on this thread succeeds
-        // (nested-detection would panic if `occupied` leaked), and a
-        // retire with a hint does not spin on a stale hazard.
-        drop(d.read_lock());
+        // The hazard is gone: a retire of that address does not wait.
         d.retire(Retired::with_hint(8, 0xdead_beef, || {}));
         assert_eq!(d.reclaim_stats().guard_panics, 1);
+        assert!(d.slots.iter().all(|s| !s.occupied.load(Ordering::SeqCst)));
     }
 
     #[test]
     fn stats_report_through_the_unified_vocabulary() {
         let d = HazardDomain::new();
-        {
-            let _g = d.read_lock();
-        }
+        drop(d.read_lock());
         d.retire(Retired::new(|| {}));
         let s = d.reclaim_stats();
         assert_eq!(s.guards, 1);
@@ -361,5 +337,23 @@ mod tests {
         assert!(!s.domain_wide);
         assert!(d.guards_reads());
         assert_eq!(Reclaim::name(&d), "hazard");
+    }
+
+    #[test]
+    fn scheme_gives_each_locale_its_own_domain() {
+        let c = rcuarray_runtime::Cluster::new(rcuarray_runtime::Topology::new(3, 1));
+        let a: HazardArray<u64> = HazardArray::with_config(&c, Config::with_block_size(8));
+        a.resize(8);
+        a.resize(8);
+        (0..16).for_each(|i| assert_eq!(a.read(i), 0));
+        let s = a.stats().reclaim;
+        assert_eq!(s.retired, 6, "one retired snapshot per locale per resize");
+        assert_eq!(
+            (s.reclaimed, s.pending),
+            (6, 0),
+            "hazard frees synchronously"
+        );
+        assert!(s.guards >= 16, "every read claims a hazard slot");
+        assert_eq!(a.scheme_name(), "hazard");
     }
 }

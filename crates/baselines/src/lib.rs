@@ -21,23 +21,20 @@
 //! * [`LockFreeVector`] — the §II related work of Dechev, Pirkelbauer &
 //!   Stroustrup: a lock-free dynamically resizable array using two-level
 //!   indexing, operation descriptors and a helping scheme.
-//! * [`HazardArray`] — §I's alternative reclamation: the same
-//!   block/snapshot structure as RCUArray, but old snapshots protected and
-//!   reclaimed with Michael's hazard pointers instead of EBR/QSBR,
-//!   quantifying "a balanced but noticeable overhead to both read and
-//!   write operations". The hazard machinery is a standalone
-//!   [`HazardDomain`] implementing the workspace-wide `Reclaim` trait, so
-//!   it can protect any structure, not just this array.
+//! * [`HazardArray`] — §I's alternative reclamation: Michael's hazard
+//!   pointers instead of EBR/QSBR, quantifying "a balanced but
+//!   noticeable overhead to both read and write operations". It is not a
+//!   separate array: [`HazardScheme`] plugs a per-locale [`HazardDomain`]
+//!   into `RcuArray`'s `Scheme` seam, so `HazardArray` is
+//!   `RcuArray<T, HazardScheme>` and runs the identical code path.
 
-pub mod hazard;
 pub mod hazard_domain;
 pub mod lockfree_vector;
 pub mod rwlock_array;
 pub mod sync_array;
 pub mod unsafe_array;
 
-pub use hazard::HazardArray;
-pub use hazard_domain::{HazardDomain, HazardGuard};
+pub use hazard_domain::{HazardArray, HazardDomain, HazardGuard, HazardScheme};
 pub use lockfree_vector::LockFreeVector;
 pub use rwlock_array::RwLockArray;
 pub use sync_array::SyncArray;

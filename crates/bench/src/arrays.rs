@@ -29,7 +29,7 @@ pub enum ArrayKind {
     Sync,
     /// Reader-writer-lock comparator (§I motivation).
     RwLock,
-    /// Hazard-pointer comparator (§I motivation).
+    /// RCUArray under hazard pointers (§I motivation).
     Hazard,
     /// Dechev et al. lock-free vector (§II related work).
     LockFreeVec,
@@ -158,25 +158,7 @@ forward_bench_array!(LeakArray<u64>, "LeakArray", |_s| {});
 forward_bench_array!(UnsafeArray<u64>, "ChapelArray", |_s| {});
 forward_bench_array!(SyncArray<u64>, "SyncArray", |_s| {});
 forward_bench_array!(RwLockArray<u64>, "RwLockArray", |_s| {});
-
-impl BenchArray for HazardArray<u64> {
-    fn name(&self) -> &'static str {
-        "HazardArray"
-    }
-    fn read(&self, idx: usize) -> u64 {
-        HazardArray::read(self, idx)
-    }
-    fn write(&self, idx: usize, v: u64) {
-        HazardArray::write(self, idx, v)
-    }
-    fn resize(&self, additional: usize) -> usize {
-        HazardArray::resize(self, additional)
-    }
-    fn capacity(&self) -> usize {
-        HazardArray::capacity(self)
-    }
-    fn checkpoint(&self) {}
-}
+forward_bench_array!(HazardArray<u64>, "HazardArray", |_s| {});
 
 impl BenchArray for LockFreeVector<u64> {
     fn name(&self) -> &'static str {
@@ -231,7 +213,7 @@ pub fn make_array_config(
         ArrayKind::Chapel => Box::new(UnsafeArray::<u64>::with_accounting(cluster, account_comm)),
         ArrayKind::Sync => Box::new(SyncArray::<u64>::with_accounting(cluster, account_comm)),
         ArrayKind::RwLock => Box::new(RwLockArray::<u64>::with_accounting(cluster, account_comm)),
-        ArrayKind::Hazard => Box::new(HazardArray::<u64>::new(cluster, block_size, account_comm)),
+        ArrayKind::Hazard => Box::new(HazardArray::<u64>::with_config(cluster, config)),
         ArrayKind::LockFreeVec => Box::new(LockFreeVector::<u64>::new()),
     }
 }

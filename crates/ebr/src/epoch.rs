@@ -93,7 +93,7 @@ impl std::fmt::Debug for EvacEntry {
 /// zone per locale. The zone knows nothing about *what* it protects; it
 /// only implements the reader announcement protocol and the writer's
 /// drain-and-advance. Pair it with an `AtomicPtr` (see
-/// [`crate::RcuCell`]) or any other single-writer published structure.
+/// [`crate::RcuPtr`]) or any other single-writer published structure.
 #[derive(Debug)]
 pub struct EpochZone {
     global_epoch: Padded,

@@ -42,15 +42,16 @@
 //! ## Example
 //!
 //! ```
-//! use rcuarray_ebr::RcuCell;
+//! use rcuarray_ebr::{EpochZone, RcuPtr};
+//! use std::sync::Arc;
 //!
-//! let cell = RcuCell::new(vec![1, 2, 3]);
+//! let cell = RcuPtr::new(vec![1, 2, 3], Arc::new(EpochZone::new()));
 //! // Readers may run at any time, including during a write.
 //! let sum: i32 = cell.read(|v| v.iter().sum());
 //! assert_eq!(sum, 6);
 //! // A writer clones, mutates the clone, publishes, and reclaims the old
 //! // value after all readers of it have evacuated.
-//! cell.write(|old| {
+//! cell.update(|old| {
 //!     let mut new = old.clone();
 //!     new.push(4);
 //!     new
@@ -62,7 +63,6 @@ pub mod backoff;
 pub mod epoch;
 pub mod guard;
 pub mod ordering;
-pub mod rcu_cell;
 pub mod reclaim;
 pub mod sharded;
 
@@ -70,11 +70,10 @@ pub use backoff::Backoff;
 pub use epoch::{EpochZone, ZoneStats};
 pub use guard::EpochGuard;
 pub use ordering::OrderingMode;
-pub use rcu_cell::RcuCell;
 pub use sharded::{ShardedEpochZone, ShardedTicket};
 
-// The unified reclamation vocabulary, re-exported so EBR consumers need
-// only this crate.
+// The unified reclamation vocabulary and the RCU cell, re-exported so EBR
+// consumers need only this crate.
 pub use rcuarray_reclaim::{
-    Backpressure, PressureConfig, Reclaim, ReclaimStats, Retired, StallPolicy,
+    Backpressure, PressureConfig, RcuPtr, Reclaim, ReclaimStats, Retired, StallPolicy,
 };

@@ -16,7 +16,7 @@
 //! [`get_ref`](RcuArray::get_ref)) and `Resize`
 //! ([`resize`](RcuArray::resize)) implement Algorithm 3, with the
 //! `isQSBR` conditional realized by the [`Scheme`] type parameter: the
-//! array calls the scheme's [`Reclaim`] engine (`read_lock` / `retire` /
+//! array calls the scheme's [`Reclaim`] engine (`protect` / `retire` /
 //! `quiesce`) and never branches on which scheme it runs under.
 
 use crate::block::{Block, BlockRef, BlockRegistry};
@@ -533,7 +533,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // (rather than manual pin/unpin) matters: `f` can panic — e.g. an
         // out-of-bounds index — and a leaked EBR pin would deadlock every
         // future writer on this locale's parity counter.
-        let guard = st.reclaim().read_lock();
+        // `protect` is the guard plus the snapshot load; hazard pointers
+        // also publish and re-validate the pointer inside it.
+        let (guard, snap) = st.reclaim().protect(st.snapshot_cell());
         // Chaos hook: a triggered `read.kill` dies *inside* the read-side
         // critical section, proving the guard's unwind path releases the
         // pin (one relaxed load when no trigger is armed).
@@ -542,9 +544,10 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             .fault()
             .hit("read.kill")
             .expect("reader killed by fault plan");
-        // SAFETY: the guard is live across the call, and this thread
-        // crosses no quiescent point inside `f`.
-        let ret = f(unsafe { st.snapshot_ref() });
+        // SAFETY: `snap` is the published snapshot `protect` returned with
+        // the live guard, and this thread crosses no quiescent point
+        // inside `f`.
+        let ret = f(unsafe { &*snap });
         drop(guard);
         ret
     }

@@ -7,24 +7,28 @@
 //! the paper's `isQSBR` compile-time parameter as *behavior* rather than
 //! a boolean: the read-side protocol lives in a GAT guard type, the
 //! write-side protocol in [`retire`](Reclaim::retire), and quiescence in
-//! [`quiesce`](Reclaim::quiesce). `RcuArray`, `RcuPtr`, `RcuList`, the
-//! collections, the hazard-pointer baseline, and the bench harness all
+//! [`quiesce`](Reclaim::quiesce). `RcuArray`, the one RCU cell
+//! [`RcuPtr`] (defined here), the collections and the bench harness all
 //! consume this one interface; `rcuarray-ebr` and `rcuarray-qsbr`
 //! implement it natively on `EpochZone` and `QsbrDomain`.
 //!
-//! Two further schemes prove the seam is real without touching any
+//! Three further schemes prove the seam is real without touching any
 //! consumer: [`LeakReclaim`] (defined here — no-op guards, never frees,
-//! the honest upper bound the paper's UnsafeArray plays) and the
-//! amortized QSBR variant in `rcuarray-qsbr` (DEBRA-style bounded drain
-//! per checkpoint).
+//! the honest upper bound the paper's UnsafeArray plays), the amortized
+//! QSBR variant in `rcuarray-qsbr` (DEBRA-style bounded drain per
+//! checkpoint) and `HazardDomain` in `rcuarray-baselines` (Michael's
+//! hazard pointers, which override [`protect`](Reclaim::protect)).
 //!
 //! ## The contract
 //!
 //! * A value may be dereferenced through a scheme-protected pointer only
-//!   while a [`read_lock`](Reclaim::read_lock) guard is live (schemes
-//!   whose [`guards_reads`](Reclaim::guards_reads) is `false` make the
-//!   guard a no-op token and protect readers structurally instead —
-//!   deferral until quiescence, or never freeing at all).
+//!   while the guard [`protect`](Reclaim::protect) returned with it is
+//!   live. Readers go through `protect`, never a bare load after
+//!   [`read_lock`](Reclaim::read_lock): a pointer-based scheme must see
+//!   which pointer a reader holds. Schemes whose
+//!   [`guards_reads`](Reclaim::guards_reads) is `false` make the guard a
+//!   no-op token and protect readers structurally instead — deferral
+//!   until quiescence, or never freeing at all.
 //! * [`retire`](Reclaim::retire) takes ownership of an unlinked object's
 //!   destructor. The scheme chooses *when* to run it: synchronously after
 //!   draining readers (EBR, hazard), deferred until a quiescent state
@@ -51,8 +55,12 @@
 //!   counts as *stalled*: QSBR quarantines it (force-park), EBR flips the
 //!   writer into an evacuation epoch instead of spinning forever.
 
-use rcuarray_analysis::atomic::{AtomicU64, Ordering};
+use rcuarray_analysis::atomic::{AtomicPtr, AtomicU64, Ordering};
 use rcuarray_obs::LazyCounter;
+
+mod rcu_ptr;
+
+pub use rcu_ptr::RcuPtr;
 
 // Process-wide pressure telemetry (the per-scheme stats carry the
 // scheme-local view; these totals feed BENCH_*.json).
@@ -448,6 +456,25 @@ pub trait Reclaim: Send + Sync + 'static {
 
     /// Enter a read-side critical section.
     fn read_lock(&self) -> Self::Guard<'_>;
+
+    /// Enter a read-side critical section and load the pointer published
+    /// in `src`; the returned pointer may be dereferenced while the guard
+    /// is live. This is the one read step every scheme can serve:
+    /// epoch-style schemes protect everything a guard-holder loads, so the
+    /// default is [`read_lock`](Self::read_lock) followed by one `Acquire`
+    /// load; pointer-based schemes (hazard pointers) override it with
+    /// their publish-then-revalidate loop.
+    ///
+    /// Always inlined so the default compiles to exactly the sequence a
+    /// reader ran before this step existed: the `read_lock` call, then
+    /// the load in the caller — no guard/pointer pair through memory.
+    #[inline(always)]
+    fn protect<'a, T>(&'a self, src: &AtomicPtr<T>) -> (Self::Guard<'a>, *mut T) {
+        let guard = self.read_lock();
+        // Loaded only after the guard is live: the guard obliges writers
+        // to keep whatever this load returns alive until it drops.
+        (guard, src.load(Ordering::Acquire))
+    }
 
     /// Hand over an unlinked object; the scheme frees it once no reader
     /// can hold it (possibly before returning, possibly never).

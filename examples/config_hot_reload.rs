@@ -1,6 +1,6 @@
 //! Hot-reloading shared configuration with the *decoupled* RCU layer —
 //! the paper's future-work item ("the decoupling of EBR from RCUArray can
-//! be performed easily"), shipped here as the `rcuarray-rcu` crate.
+//! be performed easily"), shipped here as `RcuPtr` in `rcuarray-reclaim`.
 //!
 //! A routing table is read on every "request" by worker threads and
 //! occasionally replaced wholesale by a control thread. The same generic
@@ -110,8 +110,8 @@ fn run<R: Reclaim>(name: &str, reclaim: Arc<R>, reloads: u64) {
 
 fn main() {
     println!("hot-reloading a routing table under both reclamation back-ends\n");
-    run("ebr", Arc::new(EbrReclaim::new()), 500);
-    run("qsbr", Arc::new(QsbrReclaim::new()), 500);
+    run("ebr", Arc::new(EpochZone::new()), 500);
+    run("qsbr", Arc::new(QsbrDomain::new()), 500);
     println!(
         "\nsame serve() code ran under both schemes — the paper's `isQSBR` as a type parameter"
     );

@@ -10,8 +10,10 @@
 //!   distributed resizable array (`EbrArray`, `QsbrArray`).
 //! * [`rcuarray_runtime`] — the simulated multi-locale runtime substrate.
 //! * [`rcuarray_ebr`] / [`rcuarray_qsbr`] — the two reclamation schemes.
-//! * [`rcuarray_rcu`] — generic RCU decoupled from the array.
-//! * [`rcuarray_baselines`] — every comparator from the evaluation.
+//! * [`rcuarray_reclaim`] — the `Reclaim` trait every scheme implements,
+//!   and `RcuPtr`, the generic RCU cell decoupled from the array.
+//! * [`rcuarray_baselines`] — every comparator from the evaluation,
+//!   including the hazard-pointer scheme.
 //! * [`rcuarray_service`] — the request-serving front-end (adaptive
 //!   batching, admission control, SLO telemetry).
 //!
@@ -24,7 +26,6 @@ pub use rcuarray_collections;
 pub use rcuarray_ebr;
 pub use rcuarray_obs;
 pub use rcuarray_qsbr;
-pub use rcuarray_rcu;
 pub use rcuarray_reclaim;
 pub use rcuarray_runtime;
 pub use rcuarray_service;
@@ -36,12 +37,12 @@ pub mod prelude {
         PressureConfig, QsbrArray, RcuArray, ReclaimStats, Scheme, StallPolicy, DEFAULT_BLOCK_SIZE,
     };
     pub use rcuarray_baselines::{
-        HazardArray, LockFreeVector, RwLockArray, SyncArray, UnsafeArray,
+        HazardArray, HazardScheme, LockFreeVector, RwLockArray, SyncArray, UnsafeArray,
     };
     pub use rcuarray_collections::{DistTable, DistVector};
-    pub use rcuarray_ebr::{EpochGuard, EpochZone, OrderingMode, RcuCell};
+    pub use rcuarray_ebr::{EpochGuard, EpochZone, OrderingMode};
     pub use rcuarray_qsbr::QsbrDomain;
-    pub use rcuarray_rcu::{EbrReclaim, QsbrReclaim, RcuList, RcuPtr, Reclaim};
+    pub use rcuarray_reclaim::{RcuPtr, Reclaim};
     pub use rcuarray_runtime::{
         current_locale, Cluster, CollectiveKind, CommError, CommMessage, CommStats, FaultAction,
         FaultPlan, FaultStats, LatencyModel, LocaleId, MeshConfig, MeshTransport, OpKind,

@@ -1,6 +1,7 @@
-//! Every array variant in the workspace — RCUArray under both schemes and
-//! all five comparators — must compute identical results for identical
-//! deterministic workloads. Performance differs; semantics must not.
+//! Every array variant in the workspace — RCUArray under EBR, QSBR and
+//! hazard pointers, plus the four standalone comparators — must compute
+//! identical results for identical deterministic workloads. Performance
+//! differs; semantics must not.
 
 use rcuarray_repro::prelude::*;
 use std::sync::Arc;
@@ -25,7 +26,7 @@ fn variants(cluster: &Arc<Cluster>) -> Vec<Variant> {
     let unsafe_a = Arc::new(UnsafeArray::<u64>::with_accounting(cluster, false));
     let sync_a = Arc::new(SyncArray::<u64>::with_accounting(cluster, false));
     let rw = Arc::new(RwLockArray::<u64>::with_accounting(cluster, false));
-    let hz = Arc::new(HazardArray::<u64>::new(cluster, 16, false));
+    let hz = Arc::new(HazardArray::<u64>::with_config(cluster, cfg));
     let lf = Arc::new(LockFreeVector::<u64>::new());
 
     vec![

@@ -64,55 +64,80 @@ fn leak_guard_panic_is_harmless() {
     panicking_pinned_reader_recovers::<rcuarray::LeakScheme>();
 }
 
-/// EBR surfaces the unwind in its stats: the guard's `Drop` notices
-/// `std::thread::panicking()` and bumps the panicked-guard counter.
-#[test]
-fn ebr_counts_panicked_guards() {
+/// Guarded schemes surface the unwind in their stats: the guard's `Drop`
+/// notices `std::thread::panicking()` and bumps the panicked-guard
+/// counter. The scheme keeps working: read again, resize, and nothing
+/// retired stays pending behind a stale pin or hazard.
+fn counts_panicked_guards<S: Scheme>() {
     let c = Cluster::new(Topology::new(1, 1));
-    let a: EbrArray<u64> = EbrArray::with_config(&c, cfg());
+    let a: RcuArray<u64, S> = RcuArray::with_config(&c, cfg());
     a.resize(8);
     assert_eq!(a.stats().reclaim.guard_panics, 0);
     let r = catch_unwind(AssertUnwindSafe(|| a.read(999)));
     assert!(r.is_err());
     assert!(
         a.stats().reclaim.guard_panics >= 1,
-        "panicked guard was not counted"
+        "{}: panicked guard was not counted",
+        a.scheme_name()
     );
-    // The zone still functions: pin again, resize, drain.
     assert_eq!(a.read(0), 0);
     a.resize(8);
     a.checkpoint();
+    assert_eq!(a.stats().reclaim.pending, 0, "{}", a.scheme_name());
 }
 
-/// The hazard-pointer baseline releases its slot on unwind too — the
-/// next reader on the same thread reacquires it and a resize scan sees
-/// no stale protection.
 #[test]
-fn hazard_baseline_guard_panic_releases_slot() {
-    let c = Cluster::new(Topology::new(2, 2));
-    let a: HazardArray<u64> = HazardArray::new(&c, 8, false);
-    a.resize(16);
-    a.write(2, 6);
+fn ebr_counts_panicked_guards() {
+    counts_panicked_guards::<rcuarray::EbrScheme>();
+}
 
-    let r = catch_unwind(AssertUnwindSafe(|| a.read(1_000_000)));
-    assert!(r.is_err(), "out-of-bounds hazard read must panic");
-    assert!(
-        a.domain().reclaim_stats().guard_panics >= 1,
-        "hazard domain did not count the panicked guard"
-    );
+#[test]
+fn hazard_counts_panicked_guards() {
+    counts_panicked_guards::<HazardScheme>();
+}
 
-    // Slot released: same thread reads again and resize completes (a
-    // stale hazard would keep old snapshots alive, not block, so also
-    // check the domain drains to zero).
-    assert_eq!(a.read(2), 6);
-    a.resize(16);
-    assert_eq!(a.read(2), 6);
-    let _ = a.domain().quiesce();
-    assert_eq!(
-        a.domain().reclaim_stats().pending,
-        0,
-        "stale hazard protection kept retired snapshots alive"
-    );
+#[test]
+fn hazard_guard_panic_releases_slot() {
+    panicking_pinned_reader_recovers::<HazardScheme>();
+}
+
+/// The out-of-bounds panic fires while the reader's guard is live (under
+/// hazard pointers: while its slot publishes the snapshot). A resize on
+/// *another* thread must still finish — a guard leaked by the unwind
+/// would keep that thread's drain or slot scan waiting forever.
+fn oob_panic_does_not_wedge_resizes<S: Scheme>() {
+    let c = Cluster::new(Topology::new(1, 1));
+    let a: Arc<RcuArray<u64, S>> = Arc::new(RcuArray::with_config(&c, cfg()));
+    a.resize(8);
+    let r = catch_unwind(AssertUnwindSafe(|| a.read(999)));
+    assert!(r.is_err());
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let a2 = Arc::clone(&a);
+    let resizer = std::thread::spawn(move || {
+        a2.resize(8);
+        done_tx.send(()).unwrap();
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{}: resize wedged by a leaked guard", a.scheme_name()));
+    resizer.join().unwrap();
+    assert_eq!(a.capacity(), 16);
+    a.checkpoint();
+}
+
+#[test]
+fn ebr_oob_panic_does_not_wedge_resizes() {
+    oob_panic_does_not_wedge_resizes::<rcuarray::EbrScheme>();
+}
+
+#[test]
+fn qsbr_oob_panic_does_not_wedge_resizes() {
+    oob_panic_does_not_wedge_resizes::<rcuarray::QsbrScheme>();
+}
+
+#[test]
+fn hazard_oob_panic_does_not_wedge_resizes() {
+    oob_panic_does_not_wedge_resizes::<HazardScheme>();
 }
 
 /// A panicking reader must not poison reclamation for *other* threads:

@@ -1,5 +1,6 @@
 //! End-to-end reclamation behaviour: EBR's synchronous drain, QSBR's
-//! deferred checkpoints, parking, thread exit, and the generic layer.
+//! deferred checkpoints, parking, thread exit, and the generic `RcuPtr`
+//! cell over both.
 
 use rcuarray_repro::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -8,7 +9,7 @@ use std::time::Duration;
 
 #[test]
 fn ebr_writer_waits_for_pinned_reader_through_rcucell() {
-    let cell = Arc::new(RcuCell::new(vec![1u8, 2, 3]));
+    let cell = Arc::new(RcuPtr::new(vec![1u8, 2, 3], Arc::new(EpochZone::new())));
     let writer_done = Arc::new(AtomicBool::new(false));
 
     // A reader that holds the read-side critical section open.
@@ -27,7 +28,7 @@ fn ebr_writer_waits_for_pinned_reader_through_rcucell() {
     });
 
     std::thread::sleep(Duration::from_millis(20));
-    cell.write(|v| {
+    cell.update(|v| {
         let mut v = v.clone();
         v.push(4);
         v
@@ -147,7 +148,7 @@ fn generic_rcu_ptr_reclaims_under_both_backends() {
     // Canary payloads are only dropped via retire/quiesce or final drop.
     let drops_ebr = Arc::new(AtomicUsize::new(0));
     {
-        let p = RcuPtr::new(Canary(Arc::clone(&drops_ebr)), Arc::new(EbrReclaim::new()));
+        let p = RcuPtr::new(Canary(Arc::clone(&drops_ebr)), Arc::new(EpochZone::new()));
         p.replace(Canary(Arc::clone(&drops_ebr)));
         assert_eq!(drops_ebr.load(Ordering::SeqCst), 1, "EBR frees at retire");
     }
@@ -155,7 +156,7 @@ fn generic_rcu_ptr_reclaims_under_both_backends() {
 
     let drops_qsbr = Arc::new(AtomicUsize::new(0));
     {
-        let reclaim = Arc::new(QsbrReclaim::new());
+        let reclaim = Arc::new(QsbrDomain::new());
         let p = RcuPtr::new(Canary(Arc::clone(&drops_qsbr)), Arc::clone(&reclaim));
         p.replace(Canary(Arc::clone(&drops_qsbr)));
         assert_eq!(drops_qsbr.load(Ordering::SeqCst), 0, "QSBR defers");
@@ -196,12 +197,83 @@ fn exited_reader_threads_do_not_leak_or_wedge_the_domain() {
 fn epoch_zone_overflow_safety_through_the_cell() {
     // Lemma 2 at the API level: a cell whose zone sits at the epoch
     // ceiling keeps functioning across the wrap.
-    let cell = RcuCell::new(0u64);
-    cell.zone().set_epoch_for_test(u64::MAX - 1);
+    let cell = RcuPtr::new(0u64, Arc::new(EpochZone::new()));
+    cell.reclaimer().set_epoch_for_test(u64::MAX - 1);
     for i in 1..=10 {
-        cell.write(|v| v + i);
+        cell.update(|v| v + i);
         assert_eq!(cell.read(|v| *v), (1..=i).sum::<u64>());
     }
     // 10 writes from MAX-1 wrapped past 0.
-    assert!(cell.zone().epoch() < 16);
+    assert!(cell.reclaimer().epoch() < 16);
+}
+
+#[test]
+fn qsbr_rcu_ptrs_reclaim_through_any_clone_of_their_domain() {
+    // Two cells on two clones of one domain: a single checkpoint through
+    // a third clone frees both retired values.
+    let domain = QsbrDomain::new();
+    let a = RcuPtr::new(1u8, Arc::new(domain.clone()));
+    let b = RcuPtr::new(2u8, Arc::new(domain.clone()));
+    for _ in 0..5 {
+        a.update(|v| v + 1);
+        b.update(|v| v + 1);
+    }
+    assert_eq!(domain.clone().checkpoint(), 10);
+    assert_eq!((a.read(|v| *v), b.read(|v| *v)), (6, 7));
+    assert_eq!(domain.stats().pending, 0);
+}
+
+#[test]
+fn rcu_ptr_updates_respect_the_backlog_cap_under_a_stalled_reader() {
+    // A byte-capped QSBR domain with one participant that registers and
+    // then never checkpoints: every update must go through the pressure
+    // ladder (writer-help, then the blocking fallback), so the backlog
+    // stays within the cap plus one retire while stall detection
+    // quarantines the staller.
+    type Payload = [u64; 8];
+    const CAP: u64 = 1024;
+    let slack = std::mem::size_of::<Payload>() as u64;
+    let domain = QsbrDomain::new();
+    domain.set_pressure(PressureConfig::bounded(CAP));
+    domain.set_stall_policy(StallPolicy::after(1, 2));
+    let cell = RcuPtr::new([0u64; 8], Arc::new(domain.clone()));
+
+    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+    let staller = {
+        let domain = domain.clone();
+        std::thread::spawn(move || {
+            domain.register_current_thread();
+            ready_tx.send(()).unwrap();
+            done_rx.recv().unwrap();
+            domain.checkpoint();
+        })
+    };
+    ready_rx.recv().unwrap();
+
+    let mut peak = 0u64;
+    for i in 0..200u64 {
+        cell.update(|v| {
+            let mut next: Payload = *v;
+            next[0] = i;
+            next
+        });
+        peak = peak.max(domain.reclaim_stats().pending_bytes);
+    }
+    assert_eq!(cell.read(|v| v[0]), 199);
+    assert!(
+        peak <= CAP + slack,
+        "RcuPtr backlog escaped its cap: peak {peak} > {CAP} + {slack}"
+    );
+
+    done_tx.send(()).unwrap();
+    staller.join().unwrap();
+    for _ in 0..1000 {
+        domain.checkpoint();
+        if domain.stats().pending == 0 {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(domain.stats().pending, 0);
 }
