@@ -109,9 +109,6 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // migrated sync_var.rs / global_lock.rs get narrow entries below).
     "crates/runtime/src/comm.rs",
     "crates/runtime/src/fault.rs",
-    // Per-link transmission counters and the delivery-log enable gate;
-    // cluster totals are mirrored to obs in the same functions.
-    "crates/runtime/src/transport/",
     "crates/runtime/src/config.rs",
     "crates/runtime/src/telemetry.rs",
     // Round-robin placement hint: the counter only steers which locale
@@ -161,12 +158,11 @@ pub const COUNTER_ALLOWLIST: &[&str] = &[
     // Per-locale replica-lag ledger backing ArrayStats::replica_lag_bytes;
     // the obs gauge is set from the total in the same functions.
     "crates/rcuarray/src/placement.rs",
-    // Per-locale comm/fault accounting (locality assertions need the
-    // per-locale split; cluster totals are mirrored to obs).
+    // The per-cluster (from, to) link table, the one place a comm event
+    // is counted, and per-locale fault accounting: locality and per-link
+    // assertions need the per-cluster split the global registry lacks.
     "crates/runtime/src/comm.rs",
     "crates/runtime/src/fault.rs",
-    // Per-link (from, to) transmission cells; link totals mirrored to obs.
-    "crates/runtime/src/transport/",
     "crates/runtime/src/locale.rs",
     "crates/runtime/src/global_lock.rs",
     // Round-robin placement cursor: an index, not a metric.

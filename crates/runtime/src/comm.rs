@@ -15,14 +15,20 @@
 //!
 //! Since the transport refactor, `CommLayer` is a *facade*: callers hand it
 //! a typed [`CommMessage`], it lowers the message to wire operations
-//! ([`CommMessage::wire_ops`]), runs the fault plan and per-locale
-//! accounting on each, and only then asks the configured [`Transport`]
-//! backend to move the bytes. Fault checks, counters and latency all live
-//! here — **not** in the backends — which is what guarantees identical
-//! `CommStats`/`FaultStats` on shmem and mesh for the same workload.
+//! ([`CommMessage::wire_ops`]), runs the fault plan on each, and only then
+//! asks the configured [`Transport`] backend to move the bytes. Fault
+//! checks, counters and latency all live here — **not** in the backends —
+//! which is what guarantees identical `CommStats`/`FaultStats`/`LinkStats`
+//! on shmem and mesh for the same workload.
 //!
-//! Counters are sharded per locale and padded to avoid the instrumentation
-//! itself becoming a contended cache line.
+//! Every communication event is counted exactly once, in one table of
+//! cache-line-padded cells indexed by directed link `(from, to)`: a
+//! completed remote operation bumps its link's op-kind count and bytes,
+//! a local access bumps the diagonal cell `(l, l)`. Per-locale
+//! ([`stats_for`](CommLayer::stats_for)), cluster
+//! ([`total`](CommLayer::total)) and per-link
+//! ([`link_stats`](CommLayer::link_stats)) views are sums over that table
+//! at read time.
 
 use crate::fault::{CommError, FaultPlan, OpKind};
 use crate::locale::LocaleId;
@@ -33,26 +39,9 @@ use rcuarray_obs::LazyCounter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
-// Telemetry (DESIGN.md §7): cluster-wide totals across every locale and
-// every `CommLayer` in the process. The per-locale padded counters below
-// remain the source of truth for `stats_for`/locality assertions; these
-// registry handles unify the same events onto the shared metrics facade.
-static OBS_GETS: LazyCounter =
-    LazyCounter::new("rcuarray_comm_gets_total", "remote GET operations");
-static OBS_PUTS: LazyCounter =
-    LazyCounter::new("rcuarray_comm_puts_total", "remote PUT operations");
-static OBS_ONS: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_remote_execs_total",
-    "remote on-block executions",
-);
-static OBS_LOCAL: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_local_ops_total",
-    "accesses that stayed on their home locale",
-);
-static OBS_BYTES: LazyCounter = LazyCounter::new(
-    "rcuarray_comm_bytes_total",
-    "bytes moved by remote GET/PUT operations",
-);
+// Telemetry (DESIGN.md §7): the cold-path fault totals across every
+// `CommLayer` in the process. Traffic itself is counted only in the
+// per-cluster link table below.
 static OBS_RETRIES: LazyCounter = LazyCounter::new(
     "rcuarray_comm_retries_total",
     "retry attempts charged by the retry policy",
@@ -122,23 +111,53 @@ pub fn spin_for(d: Duration) {
 
 const CACHE_LINE: usize = 64;
 
-/// One locale's communication counters, padded to a cache line multiple.
+/// The counters of one directed link `(from, to)`, padded to a cache line.
+/// Off-diagonal cells count completed remote operations initiated by
+/// `from` against `to`; the diagonal cell `(l, l)` counts only `local`.
 #[repr(align(64))]
 #[derive(Debug, Default)]
-struct LocaleCounters {
+struct LinkCell {
     gets: AtomicU64,
     puts: AtomicU64,
-    remote_executes: AtomicU64,
-    local_accesses: AtomicU64,
-    bytes_moved: AtomicU64,
+    ons: AtomicU64,
+    bytes: AtomicU64,
+    /// Wire operations past the first of a multi-op message, so that
+    /// `messages = gets + puts + ons - extra_ops`.
+    extra_ops: AtomicU64,
+    local: AtomicU64,
 }
 
 // Make sure padding actually happened; counters being false-shared would
 // poison every measurement in the workspace.
-const _: () = assert!(std::mem::align_of::<LocaleCounters>() >= CACHE_LINE);
+const _: () = assert!(std::mem::align_of::<LinkCell>() >= CACHE_LINE);
+
+impl LinkCell {
+    fn stats(&self) -> CommStats {
+        CommStats {
+            gets: self.gets.load(Ordering::Relaxed),
+            puts: self.puts.load(Ordering::Relaxed),
+            remote_executes: self.ons.load(Ordering::Relaxed),
+            local_accesses: self.local.load(Ordering::Relaxed),
+            bytes_moved: self.bytes.load(Ordering::Relaxed),
+        }
+    }
+
+    fn reset(&self) {
+        for c in [
+            &self.gets,
+            &self.puts,
+            &self.ons,
+            &self.bytes,
+            &self.extra_ops,
+            &self.local,
+        ] {
+            c.store(0, Ordering::Relaxed);
+        }
+    }
+}
 
 /// One locale's fault-path counters (attempt/failure/retry bookkeeping),
-/// padded like [`LocaleCounters`]. Kept separate so the healthy fast path
+/// padded like [`LinkCell`]. Kept separate so the healthy fast path
 /// touches one cache line, not two.
 #[repr(align(64))]
 #[derive(Debug, Default)]
@@ -251,11 +270,22 @@ impl std::ops::Add for CommStats {
     }
 }
 
+/// Per-link transmission totals (a snapshot; counters keep moving).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LinkStats {
+    /// Messages transmitted over the link.
+    pub messages: u64,
+    /// Payload bytes transmitted over the link.
+    pub bytes: u64,
+}
+
 /// The cluster's communication fabric: fault plan + accounting + latency
 /// in front of a pluggable [`Transport`] backend.
 #[derive(Debug)]
 pub struct CommLayer {
-    per_locale: Box<[LocaleCounters]>,
+    num_locales: usize,
+    /// The link table, indexed `from * num_locales + to`.
+    links: Box<[LinkCell]>,
     fault_counters: Box<[FaultCounters]>,
     latency: LatencyModel,
     fault: FaultPlan,
@@ -293,8 +323,9 @@ impl CommLayer {
             )),
         };
         CommLayer {
-            per_locale: (0..num_locales)
-                .map(|_| LocaleCounters::default())
+            num_locales,
+            links: (0..num_locales * num_locales)
+                .map(|_| LinkCell::default())
                 .collect(),
             fault_counters: (0..num_locales).map(|_| FaultCounters::default()).collect(),
             latency,
@@ -331,8 +362,9 @@ impl CommLayer {
     /// but a message with any failed operation is **not** transmitted —
     /// `attempted = completed + failed` conservation holds per kind, and
     /// partial delivery never happens. On success the transport moves the
-    /// message, the completed counters and bytes are charged, and latency
-    /// is applied per wire operation.
+    /// message, the completed counters and bytes are charged to the
+    /// `(from, to)` link, and latency is applied per wire operation. A
+    /// multi-op message still counts as one link message.
     pub fn send(&self, from: LocaleId, to: LocaleId, msg: CommMessage) -> Result<(), CommError> {
         debug_assert_ne!(from, to, "local accesses use record_local");
         let ops = msg.wire_ops();
@@ -357,9 +389,20 @@ impl CommLayer {
             return Err(e);
         }
         for &(op, bytes) in ops.as_slice() {
-            self.charge_completed(from, op, bytes);
+            self.charge_completed(from, to, op, bytes);
+        }
+        let extra = ops.as_slice().len() as u64 - 1;
+        if extra > 0 {
+            self.link(from, to)
+                .extra_ops
+                .fetch_add(extra, Ordering::Relaxed);
         }
         Ok(())
+    }
+
+    #[inline]
+    fn link(&self, from: LocaleId, to: LocaleId) -> &LinkCell {
+        &self.links[from.index() * self.num_locales + to.index()]
     }
 
     /// The per-locale fault cells for one operation kind:
@@ -383,27 +426,22 @@ impl CommLayer {
     }
 
     #[inline]
-    fn charge_completed(&self, from: LocaleId, op: OpKind, bytes: usize) {
+    fn charge_completed(&self, from: LocaleId, to: LocaleId, op: OpKind, bytes: usize) {
         if self.fault.is_enabled() {
             self.fault_cells(from, op).0.fetch_add(1, Ordering::Relaxed);
         }
-        let c = &self.per_locale[from.index()];
+        let c = self.link(from, to);
         match op {
             OpKind::Get => {
                 c.gets.fetch_add(1, Ordering::Relaxed);
-                c.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-                OBS_GETS.inc();
-                OBS_BYTES.add(bytes as u64);
+                c.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             }
             OpKind::Put => {
                 c.puts.fetch_add(1, Ordering::Relaxed);
-                c.bytes_moved.fetch_add(bytes as u64, Ordering::Relaxed);
-                OBS_PUTS.inc();
-                OBS_BYTES.add(bytes as u64);
+                c.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
             }
             OpKind::RemoteExec => {
-                c.remote_executes.fetch_add(1, Ordering::Relaxed);
-                OBS_ONS.inc();
+                c.ons.fetch_add(1, Ordering::Relaxed);
             }
         }
         // An active message (bytes = 0) still costs roughly one small
@@ -452,29 +490,39 @@ impl CommLayer {
     /// Record an access that stayed on `locale`.
     #[inline]
     pub fn record_local(&self, locale: LocaleId) {
-        self.per_locale[locale.index()]
-            .local_accesses
+        self.link(locale, locale)
+            .local
             .fetch_add(1, Ordering::Relaxed);
-        OBS_LOCAL.inc();
     }
 
-    /// Snapshot of one locale's counters.
+    /// Snapshot of one locale's counters: the sum over the links it
+    /// initiated on.
     pub fn stats_for(&self, locale: LocaleId) -> CommStats {
-        let c = &self.per_locale[locale.index()];
-        CommStats {
-            gets: c.gets.load(Ordering::Relaxed),
-            puts: c.puts.load(Ordering::Relaxed),
-            remote_executes: c.remote_executes.load(Ordering::Relaxed),
-            local_accesses: c.local_accesses.load(Ordering::Relaxed),
-            bytes_moved: c.bytes_moved.load(Ordering::Relaxed),
-        }
+        let start = locale.index() * self.num_locales;
+        self.links[start..start + self.num_locales]
+            .iter()
+            .map(LinkCell::stats)
+            .fold(CommStats::default(), |a, b| a + b)
     }
 
     /// Snapshot summed over all locales.
     pub fn total(&self) -> CommStats {
-        (0..self.per_locale.len())
-            .map(|i| self.stats_for(LocaleId::new(i as u32)))
+        self.links
+            .iter()
+            .map(LinkCell::stats)
             .fold(CommStats::default(), |a, b| a + b)
+    }
+
+    /// Transmission totals for the directed link `from → to`.
+    pub fn link_stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
+        let c = self.link(from, to);
+        let s = c.stats();
+        LinkStats {
+            messages: s
+                .remote_ops()
+                .saturating_sub(c.extra_ops.load(Ordering::Relaxed)),
+            bytes: s.bytes_moved,
+        }
     }
 
     /// Snapshot of one locale's fault accounting.
@@ -500,12 +548,8 @@ impl CommLayer {
 
     /// Reset every counter to zero (between benchmark phases).
     pub fn reset(&self) {
-        for c in self.per_locale.iter() {
-            c.gets.store(0, Ordering::Relaxed);
-            c.puts.store(0, Ordering::Relaxed);
-            c.remote_executes.store(0, Ordering::Relaxed);
-            c.local_accesses.store(0, Ordering::Relaxed);
-            c.bytes_moved.store(0, Ordering::Relaxed);
+        for c in self.links.iter() {
+            c.reset();
         }
         for c in self.fault_counters.iter() {
             c.gets_attempted.store(0, Ordering::Relaxed);

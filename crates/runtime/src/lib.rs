@@ -56,7 +56,7 @@ pub mod topology;
 pub mod transport;
 
 pub use collectives::{all_reduce, broadcast, reduce, ClusterBarrier};
-pub use comm::{CommLayer, CommStats, FaultStats, LatencyModel};
+pub use comm::{CommLayer, CommStats, FaultStats, LatencyModel, LinkStats};
 pub use dist::{BlockCyclicDist, BlockDist, RoundRobinCounter};
 pub use fault::{CommError, FaultAction, FaultEvent, FaultPlan, OpKind, RetryPolicy};
 pub use global_lock::{GlobalLock, GlobalLockGuard};
@@ -67,7 +67,7 @@ pub use sync_var::SyncVar;
 pub use task::{current_locale, TaskScope};
 pub use topology::Topology;
 pub use transport::{
-    CollectiveKind, CommMessage, LinkStats, MeshConfig, MeshTransport, ShmemTransport, Transport,
+    CollectiveKind, CommMessage, MeshConfig, MeshTransport, ShmemTransport, Transport,
     TransportKind,
 };
 

@@ -26,10 +26,7 @@
 //! accounting are unaffected — exactly the observability knob the
 //! conformance suite needs.
 
-use super::{
-    decode_frame, encode_frame, CommMessage, DeliveryLog, LinkMatrix, LinkStats, Transport,
-    TransportKind,
-};
+use super::{decode_frame, encode_frame, CommMessage, DeliveryLog, Transport, TransportKind};
 use crate::fault::CommError;
 use crate::locale::LocaleId;
 use parking_lot::{Condvar, Mutex};
@@ -136,7 +133,6 @@ struct InboxState {
 struct Shared {
     n: usize,
     inboxes: Box<[Inbox]>,
-    links: LinkMatrix,
     log: DeliveryLog,
     /// Directed links whose observed delivery order is perturbed
     /// (adjacent pairs swap), from the fault plan's `reorder_link`
@@ -179,7 +175,6 @@ impl MeshTransport {
         let shared = Arc::new(Shared {
             n,
             inboxes,
-            links: LinkMatrix::new(n),
             log: DeliveryLog::new(n),
             reorder,
         });
@@ -310,22 +305,14 @@ impl Transport for MeshTransport {
         }
         inbox.ready.notify_one();
         match ack.wait_until(deadline) {
-            Some(res) => res?,
+            Some(res) => res,
             // Completion lost past the deadline (wedged dispatcher):
             // surface as a timeout, never a hang.
-            None => {
-                return Err(CommError::Timeout {
-                    op: msg.primary_op(),
-                    locale: to,
-                })
-            }
+            None => Err(CommError::Timeout {
+                op: msg.primary_op(),
+                locale: to,
+            }),
         }
-        self.shared.links.record(from, to, msg.payload_bytes());
-        Ok(())
-    }
-
-    fn link_stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
-        self.shared.links.stats(from, to)
     }
 
     fn enable_delivery_log(&self) {
@@ -362,22 +349,33 @@ impl std::fmt::Debug for MeshTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{CommLayer, LatencyModel, LinkStats};
+    use crate::fault::FaultPlan;
 
     fn l(i: u32) -> LocaleId {
         LocaleId::new(i)
     }
 
+    fn mesh_comm(n: usize) -> CommLayer {
+        CommLayer::with_transport(
+            n,
+            LatencyModel::None,
+            FaultPlan::disabled(),
+            TransportKind::Mesh,
+            MeshConfig::default(),
+        )
+    }
+
     #[test]
-    fn transmit_delivers_and_meters() {
-        let t = MeshTransport::new(2, MeshConfig::default(), &[]);
+    fn sends_deliver_and_meter_the_link() {
+        let c = mesh_comm(2);
         for _ in 0..20 {
-            t.transmit(l(0), l(1), &CommMessage::Put { bytes: 16 })
-                .unwrap();
+            c.send(l(0), l(1), CommMessage::Put { bytes: 16 }).unwrap();
         }
-        let s = t.link_stats(l(0), l(1));
+        let s = c.link_stats(l(0), l(1));
         assert_eq!(s.messages, 20);
         assert_eq!(s.bytes, 320);
-        assert_eq!(t.link_stats(l(1), l(0)), LinkStats::default());
+        assert_eq!(c.link_stats(l(1), l(0)), LinkStats::default());
     }
 
     #[test]
@@ -396,18 +394,17 @@ mod tests {
 
     #[test]
     fn concurrent_senders_all_complete() {
-        let t = Arc::new(MeshTransport::new(4, MeshConfig::default(), &[]));
+        let c = mesh_comm(4);
         std::thread::scope(|s| {
             for src in 0..4u32 {
                 for dst in 0..4u32 {
                     if src == dst {
                         continue;
                     }
-                    let t = Arc::clone(&t);
+                    let c = &c;
                     s.spawn(move || {
                         for _ in 0..100 {
-                            t.transmit(l(src), l(dst), &CommMessage::RemoteExec)
-                                .unwrap();
+                            c.send(l(src), l(dst), CommMessage::RemoteExec).unwrap();
                         }
                     });
                 }
@@ -416,7 +413,7 @@ mod tests {
         for src in 0..4u32 {
             for dst in 0..4u32 {
                 if src != dst {
-                    assert_eq!(t.link_stats(l(src), l(dst)).messages, 100);
+                    assert_eq!(c.link_stats(l(src), l(dst)).messages, 100);
                 }
             }
         }

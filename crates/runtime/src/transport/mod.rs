@@ -15,10 +15,10 @@
 //!   plus the composite lock and collective messages the upper layers
 //!   speak. Every message lowers to one or two *wire operations*
 //!   ([`CommMessage::wire_ops`]), which is what the fault plan and the
-//!   per-locale accounting are keyed on;
+//!   per-link accounting are keyed on;
 //! * the [`Transport`] trait — `transmit` one message across one
-//!   `(from, to)` link, expose per-link [`LinkStats`], and (for tests)
-//!   a per-link delivery log of send sequence numbers;
+//!   `(from, to)` link and (for tests) keep a per-link delivery log of
+//!   send sequence numbers;
 //! * two backends: [`ShmemTransport`] (the direct shared-memory path —
 //!   transmission is free because the data is already there, exactly
 //!   the pre-seam behaviour) and [`MeshTransport`] (per-link bounded
@@ -28,10 +28,10 @@
 //!   first-class [`FaultPlan`](crate::fault::FaultPlan) actions).
 //!
 //! The split of responsibilities with [`CommLayer`](crate::comm::CommLayer)
-//! is deliberate: the comm facade owns fault checks, per-locale
-//! counters and latency injection (guaranteeing *identical*
-//! `CommStats`/`FaultStats` on every backend for the same workload);
-//! transports own only movement, per-link metrics and delivery order.
+//! is deliberate: the comm facade owns fault checks, every traffic
+//! counter (per locale and per link) and latency injection (guaranteeing
+//! *identical* `CommStats`/`FaultStats`/`LinkStats` on every backend for
+//! the same workload); transports only move and order messages.
 
 pub mod mesh;
 pub mod shmem;
@@ -42,20 +42,7 @@ pub use shmem::ShmemTransport;
 use crate::fault::OpKind;
 use crate::locale::LocaleId;
 use parking_lot::Mutex;
-use rcuarray_obs::LazyCounter;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-// Telemetry (DESIGN.md §7): process-wide transport totals. Per-link
-// splits stay on the transport object ([`Transport::link_stats`]) —
-// the registry holds scalars, not matrices.
-static OBS_MESSAGES: LazyCounter = LazyCounter::new(
-    "rcuarray_transport_messages_total",
-    "messages transmitted across locale links",
-);
-static OBS_LINK_BYTES: LazyCounter = LazyCounter::new(
-    "rcuarray_transport_bytes_total",
-    "payload bytes transmitted across locale links",
-);
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The size on the wire of one lock word (the paper's `WriteLock` state).
 pub const LOCK_WORD_BYTES: usize = 8;
@@ -145,11 +132,6 @@ impl CommMessage {
                 | CollectiveKind::BarrierRelease => WireOps::one(OpKind::Put, bytes),
             },
         }
-    }
-
-    /// Total payload bytes across all wire operations.
-    pub fn payload_bytes(&self) -> usize {
-        self.wire_ops().as_slice().iter().map(|&(_, b)| b).sum()
     }
 
     /// The operation kind a failure of this message is reported as (the
@@ -242,19 +224,10 @@ impl std::fmt::Display for TransportKind {
     }
 }
 
-/// Per-link transmission totals (a snapshot; counters keep moving).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LinkStats {
-    /// Messages transmitted over the link.
-    pub messages: u64,
-    /// Payload bytes transmitted over the link.
-    pub bytes: u64,
-}
-
 /// One cross-locale conduit: moves typed messages over directed
 /// `(from, to)` links.
 ///
-/// Implementations only move and meter — fault injection, per-locale
+/// Implementations only move and order messages — fault injection,
 /// accounting and latency stay in the [`CommLayer`](crate::comm::CommLayer)
 /// facade so every backend observes identical stats for the same
 /// workload. `transmit` is called only for `from != to` pairs that
@@ -273,9 +246,6 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
         msg: &CommMessage,
     ) -> Result<(), crate::fault::CommError>;
 
-    /// Transmission totals for the directed link `from → to`.
-    fn link_stats(&self, from: LocaleId, to: LocaleId) -> LinkStats;
-
     /// Start recording per-link delivery order (see
     /// [`delivery_log`](Self::delivery_log)). Off by default; the log
     /// is a test observability hook, not a production path.
@@ -286,55 +256,6 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// increasing per link; a mesh link under a reorder fault rule is
     /// exactly where it is not.
     fn delivery_log(&self, from: LocaleId, to: LocaleId) -> Vec<u64>;
-}
-
-/// Per-directed-link message/byte counters, cache-line padded like the
-/// per-locale comm counters (the instrumentation must not become the
-/// contended line). Shared by both backends.
-#[derive(Debug)]
-pub(crate) struct LinkMatrix {
-    n: usize,
-    cells: Box<[LinkCell]>,
-}
-
-#[repr(align(64))]
-#[derive(Debug, Default)]
-struct LinkCell {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-}
-
-impl LinkMatrix {
-    pub(crate) fn new(n: usize) -> Self {
-        LinkMatrix {
-            n,
-            cells: (0..n * n).map(|_| LinkCell::default()).collect(),
-        }
-    }
-
-    #[inline]
-    fn cell(&self, from: LocaleId, to: LocaleId) -> &LinkCell {
-        &self.cells[from.index() * self.n + to.index()]
-    }
-
-    /// Charge one message of `bytes` payload to the `from → to` link
-    /// (and mirror it onto the process-wide obs totals).
-    #[inline]
-    pub(crate) fn record(&self, from: LocaleId, to: LocaleId, bytes: usize) {
-        let c = self.cell(from, to);
-        c.messages.fetch_add(1, Ordering::Relaxed);
-        c.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        OBS_MESSAGES.inc();
-        OBS_LINK_BYTES.add(bytes as u64);
-    }
-
-    pub(crate) fn stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
-        let c = self.cell(from, to);
-        LinkStats {
-            messages: c.messages.load(Ordering::Relaxed),
-            bytes: c.bytes.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Per-link delivery-order log (send sequence numbers in delivery
@@ -504,7 +425,6 @@ mod tests {
             .as_slice(),
             &[(OpKind::Put, 8)]
         );
-        assert_eq!(CommMessage::LockAcquire.payload_bytes(), 16);
         assert_eq!(CommMessage::LockAcquire.primary_op(), OpKind::Get);
     }
 
@@ -554,18 +474,6 @@ mod tests {
         assert!("tcp".parse::<TransportKind>().is_err());
         assert_eq!(TransportKind::Mesh.to_string(), "mesh");
         assert_eq!(TransportKind::default(), TransportKind::Shmem);
-    }
-
-    #[test]
-    fn link_matrix_is_directed() {
-        let m = LinkMatrix::new(3);
-        m.record(LocaleId::new(0), LocaleId::new(1), 100);
-        m.record(LocaleId::new(0), LocaleId::new(1), 28);
-        let fwd = m.stats(LocaleId::new(0), LocaleId::new(1));
-        assert_eq!(fwd.messages, 2);
-        assert_eq!(fwd.bytes, 128);
-        let rev = m.stats(LocaleId::new(1), LocaleId::new(0));
-        assert_eq!(rev, LinkStats::default(), "links are directed");
     }
 
     #[test]

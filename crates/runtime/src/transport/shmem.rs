@@ -2,21 +2,18 @@
 //!
 //! In the simulation all locale memory lives in one address space, so a
 //! "transmission" has nothing to move — the data is already wherever
-//! the destination will read it. `transmit` therefore only meters the
-//! link (and, when enabled, records delivery order); it never blocks
-//! and never fails. This preserves the zero-copy fast path and the
-//! exact `CommStats`/`FaultStats` accounting the workspace's locality
-//! tests assert, while still exercising the same [`Transport`] seam the
-//! mesh backend does.
+//! the destination will read it. `transmit` therefore only records
+//! delivery order (when enabled); it never blocks and never fails. This
+//! preserves the zero-copy fast path, while still exercising the same
+//! [`Transport`] seam the mesh backend does.
 
-use super::{CommMessage, DeliveryLog, LinkMatrix, LinkStats, Transport, TransportKind};
+use super::{CommMessage, DeliveryLog, Transport, TransportKind};
 use crate::fault::CommError;
 use crate::locale::LocaleId;
 
-/// Direct shared-memory transport: metering only, delivery is implicit.
+/// Direct shared-memory transport: delivery is implicit.
 #[derive(Debug)]
 pub struct ShmemTransport {
-    links: LinkMatrix,
     log: DeliveryLog,
 }
 
@@ -24,7 +21,6 @@ impl ShmemTransport {
     /// A shmem transport for an `n`-locale cluster.
     pub fn new(n: usize) -> Self {
         ShmemTransport {
-            links: LinkMatrix::new(n),
             log: DeliveryLog::new(n),
         }
     }
@@ -36,17 +32,12 @@ impl Transport for ShmemTransport {
     }
 
     #[inline]
-    fn transmit(&self, from: LocaleId, to: LocaleId, msg: &CommMessage) -> Result<(), CommError> {
+    fn transmit(&self, from: LocaleId, to: LocaleId, _msg: &CommMessage) -> Result<(), CommError> {
         debug_assert_ne!(from, to, "local accesses never reach the transport");
-        self.links.record(from, to, msg.payload_bytes());
         // Send *is* delivery on shared memory: the log stays strictly
         // in send order per link.
         self.log.record_in_order(from, to);
         Ok(())
-    }
-
-    fn link_stats(&self, from: LocaleId, to: LocaleId) -> LinkStats {
-        self.links.stats(from, to)
     }
 
     fn enable_delivery_log(&self) {
@@ -61,22 +52,23 @@ impl Transport for ShmemTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comm::{CommLayer, LatencyModel, LinkStats};
 
     fn l(i: u32) -> LocaleId {
         LocaleId::new(i)
     }
 
     #[test]
-    fn transmit_meters_the_link_and_never_fails() {
-        let t = ShmemTransport::new(2);
+    fn sends_meter_the_link_and_never_fail() {
+        let c = CommLayer::new(2, LatencyModel::None);
+        assert_eq!(c.transport().kind(), TransportKind::Shmem);
         for _ in 0..10 {
-            t.transmit(l(0), l(1), &CommMessage::Put { bytes: 32 })
-                .unwrap();
+            c.send(l(0), l(1), CommMessage::Put { bytes: 32 }).unwrap();
         }
-        let s = t.link_stats(l(0), l(1));
+        let s = c.link_stats(l(0), l(1));
         assert_eq!(s.messages, 10);
         assert_eq!(s.bytes, 320);
-        assert_eq!(t.link_stats(l(1), l(0)), LinkStats::default());
+        assert_eq!(c.link_stats(l(1), l(0)), LinkStats::default());
     }
 
     #[test]

@@ -45,8 +45,8 @@ pub mod prelude {
     pub use rcuarray_reclaim::{RcuPtr, Reclaim};
     pub use rcuarray_runtime::{
         current_locale, Cluster, CollectiveKind, CommError, CommMessage, CommStats, FaultAction,
-        FaultPlan, FaultStats, LatencyModel, LocaleId, MeshConfig, MeshTransport, OpKind,
-        RetryPolicy, ShmemTransport, SyncVar, Topology, Transport, TransportKind,
+        FaultPlan, FaultStats, LatencyModel, LinkStats, LocaleId, MeshConfig, MeshTransport,
+        OpKind, RetryPolicy, ShmemTransport, SyncVar, Topology, Transport, TransportKind,
     };
     pub use rcuarray_service::{
         slo_snapshot, Client, Request, Response, Service, ServiceConfig, SloSnapshot,

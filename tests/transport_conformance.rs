@@ -9,9 +9,10 @@
 //! * faults surface as `CommError` — a partitioned link *refuses*
 //!   promptly instead of hanging;
 //! * accounting is backend-independent: the same workload yields
-//!   identical `CommStats` / `FaultStats` on every backend, and the
-//!   conservation invariant `attempted = completed + failed` holds per
-//!   operation kind;
+//!   identical `CommStats` / `FaultStats` / `LinkStats` on every backend,
+//!   the conservation invariant `attempted = completed + failed` holds
+//!   per operation kind, and per-locale bytes are the sum of that
+//!   locale's outbound link bytes;
 //! * per-link fault rules (partition, one-way delay, drop-with-retry)
 //!   are directed: the reverse link is unaffected;
 //! * the serving layer degrades *answers*, not availability, when a
@@ -118,16 +119,59 @@ fn link_stats_meter_messages_and_bytes_per_directed_link() {
             .send(l(0), l(1), CommMessage::Put { bytes: 100 })
             .unwrap();
         c.comm().send(l(0), l(1), CommMessage::LockAcquire).unwrap();
-        let t = c.comm().transport();
-        let fwd = t.link_stats(l(0), l(1));
-        assert_eq!(fwd.messages, 2, "{kind}");
+        c.comm().record_local(l(0));
+        let fwd = c.comm().link_stats(l(0), l(1));
+        assert_eq!(fwd.messages, 2, "{kind}: a lock acquire is one message");
         assert_eq!(fwd.bytes, 116, "{kind}: 100 + 16 (lock round trip)");
-        let rev = t.link_stats(l(1), l(0));
+        let rev = c.comm().link_stats(l(1), l(0));
         assert_eq!(
             (rev.messages, rev.bytes),
             (0, 0),
             "{kind}: links are directed"
         );
+        assert_eq!(
+            c.comm().link_stats(l(0), l(0)),
+            LinkStats::default(),
+            "{kind}: a local access crosses no link"
+        );
+    }
+}
+
+#[test]
+fn locale_bytes_are_the_sum_of_their_link_bytes() {
+    for kind in BOTH {
+        let c = cluster_on(kind, 3, FaultPlan::disabled());
+        assert!(run_script(&c).iter().all(Result::is_ok), "{kind}");
+        let mut messages = 0;
+        for from in 0..3 {
+            let links: Vec<LinkStats> = (0..3)
+                .map(|to| c.comm().link_stats(l(from), l(to)))
+                .collect();
+            assert_eq!(
+                c.comm().stats_for(l(from)).bytes_moved,
+                links.iter().map(|s| s.bytes).sum::<u64>(),
+                "{kind}: locale {from} bytes vs its outbound links"
+            );
+            messages += links.iter().map(|s| s.messages).sum::<u64>();
+        }
+        assert_eq!(messages, 8, "{kind}: one link message per script entry");
+    }
+}
+
+#[test]
+fn reset_clears_link_and_locale_counters_on_every_backend() {
+    for kind in BOTH {
+        let c = cluster_on(kind, 3, FaultPlan::disabled());
+        assert!(run_script(&c).iter().all(Result::is_ok), "{kind}");
+        c.comm().record_local(l(0));
+        assert_ne!(c.comm().link_stats(l(0), l(1)), LinkStats::default());
+        c.comm().reset();
+        assert_eq!(
+            c.comm().link_stats(l(0), l(1)),
+            LinkStats::default(),
+            "{kind}: link counters must not read stale after a reset"
+        );
+        assert_eq!(c.comm_stats(), CommStats::default(), "{kind}");
     }
 }
 
@@ -138,8 +182,14 @@ fn clean_script_accounts_identically_on_every_backend() {
         let c = cluster_on(kind, 3, FaultPlan::disabled());
         let results = run_script(&c);
         assert!(results.iter().all(Result::is_ok), "{kind}: clean plan");
-        let per_locale: Vec<(CommStats, FaultStats)> = (0..3)
-            .map(|i| (c.comm().stats_for(l(i)), c.comm().fault_stats_for(l(i))))
+        let per_locale: Vec<(CommStats, FaultStats, Vec<LinkStats>)> = (0..3)
+            .map(|i| {
+                (
+                    c.comm().stats_for(l(i)),
+                    c.comm().fault_stats_for(l(i)),
+                    (0..3).map(|to| c.comm().link_stats(l(i), l(to))).collect(),
+                )
+            })
             .collect();
         per_backend.push((kind, per_locale));
     }
