@@ -87,7 +87,6 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/ebr/src/ordering.rs",
     // Monotonic statistics counters only; never used for synchronization.
     "crates/ebr/src/epoch.rs",
-    "crates/ebr/src/sharded.rs",
     "crates/qsbr/src/domain.rs",
     "crates/qsbr/src/defer_list.rs",
     "crates/rcuarray/src/array.rs",
@@ -104,7 +103,6 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/model/",
     "crates/baselines/",
     "crates/collections/",
-    "crates/bench/",
     // Comm/fault counters in the simulated runtime (not migrated; the
     // migrated sync_var.rs / global_lock.rs get narrow entries below).
     "crates/runtime/src/comm.rs",
@@ -199,12 +197,11 @@ pub const SYNC_ALLOWLIST: &[&str] = &[
     // The facade itself wraps the std types.
     "crates/analysis/",
     // Not-yet-migrated crates (tracked in ROADMAP): the model checker,
-    // baselines, collections, bench harness, and the unmigrated parts of
-    // the simulated runtime.
+    // baselines, collections, and the unmigrated parts of the simulated
+    // runtime.
     "crates/model/",
     "crates/baselines/",
     "crates/collections/",
-    "crates/bench/",
     "crates/runtime/",
 ];
 
@@ -1088,7 +1085,7 @@ mod tests {
     #[test]
     fn unbounded_ctors_not_enforced_outside_service_crate() {
         let v = lint_source(
-            Path::new("crates/bench/src/telemetry.rs"),
+            Path::new("crates/collections/src/dist_table.rs"),
             "let (tx, rx) = mpsc::channel();\nlet buf = VecDeque::new();\n",
         );
         assert!(!v.iter().any(|v| v.rule == Rule::UnboundedQueue));

@@ -64,13 +64,11 @@ pub mod epoch;
 pub mod guard;
 pub mod ordering;
 pub mod reclaim;
-pub mod sharded;
 
 pub use backoff::Backoff;
 pub use epoch::{EpochZone, ZoneStats};
 pub use guard::EpochGuard;
 pub use ordering::OrderingMode;
-pub use sharded::{ShardedEpochZone, ShardedTicket};
 
 // The unified reclamation vocabulary and the RCU cell, re-exported so EBR
 // consumers need only this crate.

@@ -3,14 +3,14 @@
 //! With telemetry disabled, a metric touch must cost a single `Relaxed`
 //! load and a branch — the contract that makes "always-on" telemetry
 //! acceptable inside EBR/QSBR hot paths. This binary measures the
-//! per-touch cost of a disabled counter add, a disabled histogram
-//! record, and a disabled span open, and exits non-zero when the
-//! counter touch exceeds the threshold (default 1.0 ns; override with
-//! `OBS_OVERHEAD_MAX_NS` for pathological CI hosts).
+//! per-touch cost of a disabled counter add and a disabled histogram
+//! record, and exits non-zero when the counter touch exceeds the
+//! threshold (default 1.0 ns; override with `OBS_OVERHEAD_MAX_NS` for
+//! pathological CI hosts).
 //!
 //! Run: `cargo run --release -p rcuarray-obs --bin obs_overhead`
 
-use rcuarray_obs::{span, LazyCounter, LazyHistogram};
+use rcuarray_obs::{LazyCounter, LazyHistogram};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -41,7 +41,6 @@ fn main() {
 
     let counter_ns = time_per_op(|i| COUNTER.add(i));
     let hist_ns = time_per_op(|i| HIST.record(i));
-    let span_ns = time_per_op(|_| drop(black_box(span("probe"))));
 
     let max_ns: f64 = std::env::var("OBS_OVERHEAD_MAX_NS")
         .ok()
@@ -50,7 +49,7 @@ fn main() {
 
     println!(
         "{{\"disabled_counter_add_ns\": {counter_ns:.4}, \"disabled_histogram_record_ns\": \
-         {hist_ns:.4}, \"disabled_span_ns\": {span_ns:.4}, \"threshold_ns\": {max_ns}}}"
+         {hist_ns:.4}, \"threshold_ns\": {max_ns}}}"
     );
 
     if counter_ns > max_ns {

@@ -60,7 +60,7 @@ fn header(out: &mut String, name: &str, help: &str, kind: &str) {
 }
 
 /// Render a snapshot as a JSON object:
-/// `{"counters": {..}, "gauges": {..}, "histograms": {..}, "spans": [..]}`.
+/// `{"counters": {..}, "gauges": {..}, "histograms": {..}}`.
 pub fn to_json(snap: &Snapshot) -> String {
     let mut counters = Vec::new();
     let mut gauges = Vec::new();
@@ -78,25 +78,11 @@ pub fn to_json(snap: &Snapshot) -> String {
             }
         }
     }
-    let spans: Vec<String> = snap
-        .spans
-        .iter()
-        .map(|e| {
-            format!(
-                "{{\"name\": {}, \"start_ns\": {}, \"dur_ns\": {}, \"thread\": {}}}",
-                json_str(e.name),
-                e.start_ns,
-                e.dur_ns,
-                e.thread
-            )
-        })
-        .collect();
     format!(
-        "{{\n  \"counters\": {{{}}},\n  \"gauges\": {{{}}},\n  \"histograms\": {{{}}},\n  \"spans\": [{}]\n}}",
+        "{{\n  \"counters\": {{{}}},\n  \"gauges\": {{{}}},\n  \"histograms\": {{{}}}\n}}",
         counters.join(", "),
         gauges.join(", "),
-        histograms.join(", "),
-        spans.join(", ")
+        histograms.join(", ")
     )
 }
 
@@ -180,7 +166,6 @@ mod tests {
                 help: "h",
                 value: h.snapshot(),
             }],
-            spans: Vec::new(),
         };
         let text = to_prometheus(&snap);
         // The second non-empty bucket's cumulative count includes the
@@ -195,7 +180,6 @@ mod tests {
         assert!(json.contains("\"ops_total\": 5"));
         assert!(json.contains("\"lag\": -3"));
         assert!(json.contains("\"lat_ns\": {\"count\": 2"));
-        assert!(json.contains("\"spans\": ["));
     }
 
     #[test]

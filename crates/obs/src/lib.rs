@@ -16,14 +16,12 @@
 //!   [`LazyHistogram`] values. The first touch interns the metric in the
 //!   global [`Registry`]; later touches are a pointer chase.
 //! * **Sharded counters.** [`Counter`] spreads increments over
-//!   cache-line-padded shards picked from a stack-slot address (the same
-//!   TLS-free trick as the sharded EBR zone), so hot counters do not
+//!   cache-line-padded shards picked from a stack-slot address (no
+//!   thread-local lookup on the hot path), so hot counters do not
 //!   serialize writers on one line.
 //! * **Log-bucketed histograms.** [`Histogram`] is HDR-style: 4
 //!   sub-buckets per power of two over the full `u64` range, constant
 //!   memory, one atomic increment per record.
-//! * **Tracing rings.** [`span`] records lightweight spans into a
-//!   fixed-size per-thread ring buffer; [`trace_events`] snapshots them.
 //! * **One-load disabled path.** [`disable`] turns every metric touch
 //!   into a single `Relaxed` load and branch (verified by the
 //!   `obs_overhead` microbenchmark and the `obs` CI job).
@@ -31,15 +29,14 @@
 //! ## Sinks
 //!
 //! [`prometheus_text`] renders the classic text exposition format;
-//! [`json_snapshot`] renders a JSON object. `crates/bench` embeds the
-//! JSON snapshot in every `BENCH_<workload>.json` artifact.
+//! [`json_snapshot`] renders a JSON object. The repo benchmark
+//! (`rcubench/`) reads [`snapshot`] deltas for its traced per-layer run.
 //!
 //! All atomics go through the `rcuarray_analysis` facade, so the sharded
 //! core runs under the deterministic checker when built with the `check`
 //! feature (see `crates/analysis/tests/obs_harness.rs`).
 
 use rcuarray_analysis::atomic::{AtomicBool, Ordering};
-use std::time::Instant;
 
 mod counter;
 mod expose;
@@ -47,7 +44,6 @@ mod gauge;
 mod histogram;
 mod pad;
 mod registry;
-mod ring;
 
 pub use counter::{Counter, LazyCounter, SHARDS};
 pub use gauge::{Gauge, LazyGauge};
@@ -56,7 +52,6 @@ pub use histogram::{
     SUB_BITS,
 };
 pub use registry::{registry, MetricValue, Registry, Snapshot};
-pub use ring::{span, trace_events, Event, Span, RING_CAPACITY};
 
 /// Global on/off switch. Telemetry is on by default ("always-on"); the
 /// disabled path of every handle is this one `Relaxed` load.
@@ -79,14 +74,7 @@ pub fn disable() {
     ENABLED.store(false, Ordering::Relaxed);
 }
 
-/// Nanoseconds since the first call into the obs clock (a process-wide
-/// monotonic origin, used to timestamp tracing spans).
-pub fn now_ns() -> u64 {
-    static START: std::sync::OnceLock<Instant> = std::sync::OnceLock::new();
-    START.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Snapshot every registered metric (plus recent tracing spans).
+/// Snapshot every registered metric.
 pub fn snapshot() -> Snapshot {
     registry().snapshot()
 }
@@ -97,7 +85,7 @@ pub fn prometheus_text() -> String {
     expose::to_prometheus(&snapshot())
 }
 
-/// Render all registered metrics (and recent spans) as a JSON object.
+/// Render all registered metrics as a JSON object.
 pub fn json_snapshot() -> String {
     expose::to_json(&snapshot())
 }
@@ -157,12 +145,5 @@ mod tests {
         enable();
         D.add(1);
         assert_eq!(D.value(), before + 1);
-    }
-
-    #[test]
-    fn clock_is_monotone() {
-        let a = now_ns();
-        let b = now_ns();
-        assert!(b >= a);
     }
 }

@@ -1,5 +1,6 @@
 //! Cache-line padding and the TLS-free shard pick shared by the sharded
-//! metric cores (same trick as `rcuarray_ebr::ShardedEpochZone`).
+//! metric cores: the shard comes from a stack-slot address, so the hot
+//! path needs no thread-local lookup.
 
 use rcuarray_analysis::atomic::AtomicU64;
 

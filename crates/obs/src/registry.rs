@@ -8,7 +8,6 @@
 use crate::counter::Counter;
 use crate::gauge::Gauge;
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::ring::Event;
 use rcuarray_analysis::sync::Mutex;
 use std::sync::OnceLock;
 
@@ -114,8 +113,7 @@ impl Registry {
         entry
     }
 
-    /// Snapshot every registered metric, sorted by name, plus the
-    /// current tracing-ring contents.
+    /// Snapshot every registered metric, sorted by name.
     pub fn snapshot(&self) -> Snapshot {
         let inner = self.inner.lock();
         let mut metrics =
@@ -143,10 +141,7 @@ impl Registry {
         }
         drop(inner);
         metrics.sort_by_key(|m| m.name());
-        Snapshot {
-            metrics,
-            spans: crate::trace_events(),
-        }
+        Snapshot { metrics }
     }
 }
 
@@ -198,8 +193,6 @@ impl MetricValue {
 pub struct Snapshot {
     /// All registered metrics, sorted by name.
     pub metrics: Vec<MetricValue>,
-    /// Recent tracing spans from every thread's ring.
-    pub spans: Vec<Event>,
 }
 
 impl Snapshot {

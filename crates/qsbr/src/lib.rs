@@ -34,8 +34,8 @@
 //! references to protected data across its own checkpoint, defer, park, or
 //! registration, and checkpoints must be placed by the application
 //! ("strategic placement of checkpoints is required"). Figure 4 of the
-//! paper, reproduced in `rcuarray-bench`, measures exactly how checkpoint
-//! frequency trades throughput against reclamation latency.
+//! paper, reproduced by `examples/paper_figures.rs`, measures exactly how
+//! checkpoint frequency trades throughput against reclamation latency.
 //!
 //! ## Park / unpark
 //!

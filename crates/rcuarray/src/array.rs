@@ -560,9 +560,11 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     ///
     /// Under EBR the whole closure runs inside one read-side critical
     /// section — keep it short, a writer may be draining behind it.
-    /// Under QSBR the calling thread simply must not quiesce inside `f`
-    /// (the view's borrow prevents calling `checkpoint` through `self`,
-    /// and the closure has no access to the domain).
+    /// Under QSBR the calling thread must not quiesce inside `f`: calling
+    /// `checkpoint` (on this array or any other QSBR structure) there may
+    /// free the snapshot the view reads. This is a caller contract that
+    /// nothing checks yet — `arr.with_view(|v| { arr.checkpoint(); .. })`
+    /// compiles.
     pub fn with_view<R>(&self, f: impl FnOnce(SnapshotView<'_, T, S>) -> R) -> R {
         self.with_snapshot(|snap| f(SnapshotView { array: self, snap }))
     }

@@ -63,7 +63,7 @@ mod rcu_ptr;
 pub use rcu_ptr::RcuPtr;
 
 // Process-wide pressure telemetry (the per-scheme stats carry the
-// scheme-local view; these totals feed BENCH_*.json).
+// scheme-local view; these are the totals across every scheme).
 static OBS_FORCED_DRAINS: LazyCounter = LazyCounter::new(
     "rcuarray_reclaim_forced_drains_total",
     "writer-help drains forced by backlog pressure past the high watermark",
@@ -79,8 +79,8 @@ static OBS_CAP_OVERRUNS: LazyCounter = LazyCounter::new(
 
 /// Process-wide pressure event totals:
 /// `(forced_drains, backpressure_rejections, cap_overruns)`. Exposed so
-/// the bench harness can record the cost of robustness without parsing
-/// the metrics registry.
+/// tests can check the cost of robustness without parsing the metrics
+/// registry.
 pub fn pressure_event_totals() -> (u64, u64, u64) {
     (
         OBS_FORCED_DRAINS.value(),
