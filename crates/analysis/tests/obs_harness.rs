@@ -5,12 +5,14 @@
 //! are independent relaxed atomics and `value()`/`snapshot()` only ever
 //! sum them. The checker drives real concurrent updates through the
 //! instrumented atomics and verifies both the absence of data races and
-//! the exact final totals on every explored schedule.
+//! the exact final totals on every explored schedule. A scoped counter
+//! adds a per-instance cell in front of a registry total; both halves
+//! must be exact on every schedule DPOR explores.
 
 #![cfg(feature = "check")]
 
-use rcuarray_analysis::{thread, Checker, Config};
-use rcuarray_obs::{Counter, Histogram};
+use rcuarray_analysis::{thread, Checker, Config, Policy};
+use rcuarray_obs::{Counter, Histogram, LazyCounter};
 use std::sync::Arc;
 
 #[test]
@@ -101,4 +103,39 @@ fn reader_sums_race_free_against_writers() {
     });
     assert!(report.is_clean(), "{report}");
     assert!(report.deadlocks.is_empty(), "{report}");
+}
+
+#[test]
+fn scoped_counter_adds_are_exact_in_both_halves_under_dpor() {
+    static TOTAL: LazyCounter = LazyCounter::new("obs_harness_scoped_total", "harness");
+    // Intern before exploring: the first touch takes the registry lock,
+    // which would make the first execution differ from its replays.
+    let _ = TOTAL.value();
+    let report = Checker::new(Config {
+        policy: Policy::Dpor,
+        iterations: 256,
+        ..Config::default()
+    })
+    .run(|| {
+        let before = TOTAL.value();
+        let counter = Arc::new(TOTAL.scoped());
+        let handles: Vec<_> = (1..=2u64)
+            .map(|t| {
+                let c = Arc::clone(&counter);
+                thread::spawn(move || {
+                    c.add(t);
+                    c.add(10 * t);
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(counter.get(), 33, "instance increments lost");
+        assert_eq!(TOTAL.value() - before, 33, "process increments lost");
+    });
+    assert!(report.is_clean(), "{report}");
+    assert!(report.deadlocks.is_empty(), "{report}");
+    let dpor = report.dpor.as_ref().expect("dpor stats present");
+    assert!(dpor.complete, "exploration must exhaust: {dpor}");
 }

@@ -14,13 +14,6 @@
 //! * [`SyncArray`] — the paper's *SyncArray*: "a safer variant … that uses
 //!   mutual exclusion via sync variables". Every operation, including
 //!   reads, takes a cluster-wide full/empty lock.
-//! * [`RwLockArray`] — the §I motivation strawman: "reader-writer locks
-//!   take a step in the right direction by allowing concurrent readers,
-//!   but have the drawback of enforcing mutual exclusion with a single
-//!   writer".
-//! * [`LockFreeVector`] — the §II related work of Dechev, Pirkelbauer &
-//!   Stroustrup: a lock-free dynamically resizable array using two-level
-//!   indexing, operation descriptors and a helping scheme.
 //! * [`HazardArray`] — §I's alternative reclamation: Michael's hazard
 //!   pointers instead of EBR/QSBR, quantifying "a balanced but
 //!   noticeable overhead to both read and write operations". It is not a
@@ -29,13 +22,9 @@
 //!   `RcuArray<T, HazardScheme>` and runs the identical code path.
 
 pub mod hazard_domain;
-pub mod lockfree_vector;
-pub mod rwlock_array;
 pub mod sync_array;
 pub mod unsafe_array;
 
 pub use hazard_domain::{HazardArray, HazardDomain, HazardGuard, HazardScheme};
-pub use lockfree_vector::LockFreeVector;
-pub use rwlock_array::RwLockArray;
 pub use sync_array::SyncArray;
 pub use unsafe_array::UnsafeArray;

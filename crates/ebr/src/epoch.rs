@@ -4,15 +4,15 @@
 use crate::backoff::Backoff;
 use crate::ordering::OrderingMode;
 use rcuarray_analysis::atomic::{fence, AtomicU64, Ordering};
-use rcuarray_obs::LazyCounter;
+use rcuarray_obs::{LazyCounter, ScopedCounter};
 use rcuarray_reclaim::{PressureConfig, Retired, StallPolicy};
 use std::sync::Mutex;
 
-// Registry-level telemetry (see DESIGN.md §7): process-wide totals
-// across every zone. Per-zone counts stay in [`ZoneStats`]. Successful
-// pins are deliberately *not* mirrored here — they are the per-read hot
-// path; retries and advances are the contended/cold events the paper's
-// Fig. 2 analysis needs.
+// Telemetry (see DESIGN.md §7). Each zone holds a scoped counter per
+// event: one call feeds its `ZoneStats` count and the process-wide
+// total. Successful pins are deliberately *not* in the registry — they
+// are the per-read hot path; retries and advances are the
+// contended/cold events the paper's Fig. 2 analysis needs.
 static OBS_RETRIES: LazyCounter = LazyCounter::new(
     "rcuarray_ebr_pin_retries_total",
     "read-increment-verify pin attempts that lost an epoch advance and retried",
@@ -100,8 +100,8 @@ pub struct EpochZone {
     readers: [Padded; 2],
     mode: OrderingMode,
     pins: Padded,
-    retries: Padded,
-    advances: Padded,
+    retries: ScopedCounter,
+    advances: ScopedCounter,
     // --- robustness state (DESIGN.md §9), all cold-path ---
     /// Snooze bound for [`try_wait_for_readers`](Self::try_wait_for_readers)
     /// (`u64::MAX` = wait forever, the classic protocol).
@@ -117,8 +117,8 @@ pub struct EpochZone {
     evac_count: AtomicU64,
     evac_bytes: AtomicU64,
     retires: AtomicU64,
-    stalled: AtomicU64,
-    guard_panics: AtomicU64,
+    stalled: ScopedCounter,
+    guard_panics: ScopedCounter,
 }
 
 /// Proof that a reader is announced on a parity counter. Must be returned
@@ -166,8 +166,8 @@ impl EpochZone {
             readers: [Padded::default(), Padded::default()],
             mode,
             pins: Padded::default(),
-            retries: Padded::default(),
-            advances: Padded::default(),
+            retries: OBS_RETRIES.scoped(),
+            advances: OBS_ADVANCES.scoped(),
             stall_spins: AtomicU64::new(u64::MAX),
             stall_lag: AtomicU64::new(u64::MAX),
             cap_bytes: AtomicU64::new(u64::MAX),
@@ -176,8 +176,8 @@ impl EpochZone {
             evac_count: AtomicU64::new(0),
             evac_bytes: AtomicU64::new(0),
             retires: AtomicU64::new(0),
-            stalled: AtomicU64::new(0),
-            guard_panics: AtomicU64::new(0),
+            stalled: OBS_STALLED.scoped(),
+            guard_panics: OBS_GUARD_PANICS.scoped(),
         }
     }
 
@@ -268,8 +268,7 @@ impl EpochZone {
             }
             // Lost the race with a writer; undo and retry.
             self.readers[idx].0.fetch_sub(1, self.mode.rmw());
-            self.retries.0.fetch_add(1, Ordering::Relaxed);
-            OBS_RETRIES.inc();
+            self.retries.add(1);
             backoff.snooze();
         }
     }
@@ -293,8 +292,7 @@ impl EpochZone {
     /// the structure's write lock, per the paper's footnote 3).
     #[inline]
     pub fn advance(&self) -> u64 {
-        self.advances.0.fetch_add(1, Ordering::Relaxed);
-        OBS_ADVANCES.inc();
+        self.advances.add(1);
         // `fetch_add` wraps on overflow, which is exactly the behaviour
         // Lemma 2 proves safe: parity is preserved across the wrap.
         self.global_epoch.0.fetch_add(1, Ordering::SeqCst)
@@ -362,8 +360,7 @@ impl EpochZone {
         }
         // Stalled: park the retirement on the evacuation list instead of
         // spinning forever behind a dead reader.
-        self.stalled.fetch_add(1, Ordering::Relaxed);
-        OBS_STALLED.inc();
+        self.stalled.add(1);
         let bytes = retired.bytes() as u64;
         self.evac.lock().unwrap().push(EvacEntry {
             retired,
@@ -414,20 +411,19 @@ impl EpochZone {
     /// Record a guard released during a panic unwind (called by
     /// [`crate::EpochGuard`]'s `Drop`).
     pub(crate) fn note_guard_panic(&self) {
-        self.guard_panics.fetch_add(1, Ordering::Relaxed);
-        OBS_GUARD_PANICS.inc();
+        self.guard_panics.add(1);
     }
 
     /// Snapshot of the zone's instrumentation counters.
     pub fn stats(&self) -> ZoneStats {
         ZoneStats {
             pins: self.pins.0.load(Ordering::Relaxed),
-            retries: self.retries.0.load(Ordering::Relaxed),
-            advances: self.advances.0.load(Ordering::Relaxed),
-            stalled: self.stalled.load(Ordering::Relaxed),
+            retries: self.retries.get(),
+            advances: self.advances.get(),
+            stalled: self.stalled.get(),
             evac_pending: self.evac_count.load(Ordering::Relaxed),
             evac_pending_bytes: self.evac_bytes.load(Ordering::Relaxed),
-            guard_panics: self.guard_panics.load(Ordering::Relaxed),
+            guard_panics: self.guard_panics.get(),
         }
     }
 

@@ -1,8 +1,8 @@
 //! Monotonic counters: a sharded atomic core plus the statically
-//! declarable lazy handle.
+//! declarable lazy handle with its per-instance scoped form.
 
 use crate::pad::{shard_index, Padded};
-use rcuarray_analysis::atomic::Ordering;
+use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Number of cache-line-padded shards per counter (power of two). Eight
@@ -101,6 +101,52 @@ impl LazyCounter {
     /// Current total.
     pub fn value(&self) -> u64 {
         self.entry().core.value()
+    }
+
+    /// A per-instance counter that also feeds this metric's process
+    /// total, so one call counts an event in both views.
+    pub fn scoped(&self) -> ScopedCounter {
+        ScopedCounter {
+            entry: self.entry(),
+            local: AtomicU64::new(0),
+        }
+    }
+}
+
+/// One instance's count of a [`LazyCounter`] metric (a zone's advances,
+/// an array's resizes). [`add`](Self::add) bumps the instance count and,
+/// while telemetry is [enabled](crate::enabled), the process total; the
+/// instance half is never gated, because owners read it back (QSBR
+/// backpressure is built on its reclaimed-bytes count).
+pub struct ScopedCounter {
+    entry: &'static crate::registry::CounterEntry,
+    local: AtomicU64,
+}
+
+impl ScopedCounter {
+    /// Count `n` events: one `Relaxed` fetch-add on the instance cell,
+    /// plus a sharded add on the process total when telemetry is on.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.local.fetch_add(n, Ordering::Relaxed);
+        if crate::enabled() {
+            self.entry.core.add(n);
+        }
+    }
+
+    /// This instance's count.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.local.load(Ordering::Relaxed)
+    }
+}
+
+impl std::fmt::Debug for ScopedCounter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ScopedCounter")
+            .field("name", &self.entry.name)
+            .field("count", &self.get())
+            .finish()
     }
 }
 

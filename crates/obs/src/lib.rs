@@ -15,6 +15,9 @@
 //!   metrics as `static` [`LazyCounter`] / [`LazyGauge`] /
 //!   [`LazyHistogram`] values. The first touch interns the metric in the
 //!   global [`Registry`]; later touches are a pointer chase.
+//! * **Scoped counters.** [`LazyCounter::scoped`] gives an object (a
+//!   zone, a domain, an array) its own [`ScopedCounter`]: one `add`
+//!   counts the event for the instance and in the process total.
 //! * **Sharded counters.** [`Counter`] spreads increments over
 //!   cache-line-padded shards picked from a stack-slot address (no
 //!   thread-local lookup on the hot path), so hot counters do not
@@ -45,7 +48,7 @@ mod histogram;
 mod pad;
 mod registry;
 
-pub use counter::{Counter, LazyCounter, SHARDS};
+pub use counter::{Counter, LazyCounter, ScopedCounter, SHARDS};
 pub use gauge::{Gauge, LazyGauge};
 pub use histogram::{
     bucket_index, bucket_lo, Histogram, HistogramSnapshot, LazyHistogram, NUM_BUCKETS, SUBS,

@@ -13,7 +13,7 @@ use crate::record::ThreadRecord;
 use crate::registry::Registry;
 use crate::state::StateEpoch;
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
-use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram};
+use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram, ScopedCounter};
 use rcuarray_reclaim::{PressureConfig, StallPolicy};
 use std::cell::RefCell;
 use std::sync::{Arc, Weak};
@@ -21,9 +21,11 @@ use std::sync::{Arc, Weak};
 /// Monotonic domain-id source, used as the TLS lookup key.
 static NEXT_DOMAIN_ID: AtomicU64 = AtomicU64::new(1);
 
-// Registry-level telemetry (see DESIGN.md §7). Backlog and lag gauges
-// are set by the most recently *reclaiming* checkpoint: the fast path
-// (nothing pending) must stay at one load + one store + two checks.
+// Telemetry (see DESIGN.md §7). Counted events are scoped counters on
+// the domain: one call feeds `DomainStats` and the process total.
+// Backlog and lag gauges are set by the most recently *reclaiming*
+// checkpoint: the fast path (nothing pending) must stay at one load +
+// one store + two checks.
 static OBS_DEFERS: LazyCounter = LazyCounter::new("rcuarray_qsbr_defers_total", "QSBR_Defer calls");
 static OBS_CHECKPOINTS: LazyCounter =
     LazyCounter::new("rcuarray_qsbr_checkpoints_total", "QSBR_Checkpoint calls");
@@ -68,11 +70,12 @@ struct DomainInner {
     id: u64,
     state: StateEpoch,
     registry: Registry,
-    defers: AtomicU64,
+    defers: ScopedCounter,
     defer_bytes: AtomicU64,
-    checkpoints: AtomicU64,
-    reclaimed: AtomicU64,
-    reclaimed_bytes: AtomicU64,
+    checkpoints: ScopedCounter,
+    reclaimed: ScopedCounter,
+    reclaimed_bytes: ScopedCounter,
+    quarantines: ScopedCounter,
     /// The robustness clock: bumped by every reclaiming (slow-path)
     /// checkpoint, never by wall time, so stall detection replays
     /// identically under the deterministic checker.
@@ -166,11 +169,12 @@ impl QsbrDomain {
                 id: NEXT_DOMAIN_ID.fetch_add(1, Ordering::Relaxed),
                 state: StateEpoch::new(),
                 registry: Registry::new(),
-                defers: AtomicU64::new(0),
+                defers: OBS_DEFERS.scoped(),
                 defer_bytes: AtomicU64::new(0),
-                checkpoints: AtomicU64::new(0),
-                reclaimed: AtomicU64::new(0),
-                reclaimed_bytes: AtomicU64::new(0),
+                checkpoints: OBS_CHECKPOINTS.scoped(),
+                reclaimed: OBS_RECLAIMED.scoped(),
+                reclaimed_bytes: OBS_RECLAIMED_BYTES.scoped(),
+                quarantines: OBS_QUARANTINES.scoped(),
                 ticks: AtomicU64::new(0),
                 stall_lag: AtomicU64::new(u64::MAX),
                 stall_patience: AtomicU64::new(u64::MAX),
@@ -314,11 +318,10 @@ impl QsbrDomain {
             self.inner.registry.note_rejoin();
             OBS_REJOINS.inc();
         }
-        self.inner.defers.fetch_add(1, Ordering::Relaxed);
+        self.inner.defers.add(1);
         self.inner
             .defer_bytes
             .fetch_add(bytes as u64, Ordering::Relaxed);
-        OBS_DEFERS.inc();
     }
 
     /// Convenience: retire a value, deferring its `Drop`. The value's
@@ -390,8 +393,7 @@ impl QsbrDomain {
             self.inner.registry.note_rejoin();
             OBS_REJOINS.inc();
         }
-        self.inner.checkpoints.fetch_add(1, Ordering::Relaxed);
-        OBS_CHECKPOINTS.inc();
+        self.inner.checkpoints.add(1);
         // Fast path: nothing to reclaim here (or a zero budget — a pure
         // quiescence announcement). The announcement above is the
         // checkpoint's semantic payload; the scan and split only matter
@@ -420,7 +422,7 @@ impl QsbrDomain {
                 .registry
                 .quarantine_stalled(observed, now, policy);
             if q > 0 {
-                OBS_QUARANTINES.add(q as u64);
+                self.inner.quarantines.add(q as u64);
                 min = self.inner.registry.min_observed(observed);
             }
         }
@@ -457,14 +459,8 @@ impl QsbrDomain {
         min: u64,
         t0: Option<std::time::Instant>,
     ) {
-        self.inner
-            .reclaimed
-            .fetch_add(freed as u64, Ordering::Relaxed);
-        self.inner
-            .reclaimed_bytes
-            .fetch_add(freed_bytes, Ordering::Relaxed);
-        OBS_RECLAIMED.add(freed as u64);
-        OBS_RECLAIMED_BYTES.add(freed_bytes);
+        self.inner.reclaimed.add(freed as u64);
+        self.inner.reclaimed_bytes.add(freed_bytes);
         if let Some(t0) = t0 {
             OBS_CHECKPOINT_NS.record(t0.elapsed().as_nanos() as u64);
             OBS_EPOCH_LAG.set(self.inner.state.read().saturating_sub(min) as i64);
@@ -532,18 +528,18 @@ impl QsbrDomain {
 
     /// Activity counters.
     pub fn stats(&self) -> DomainStats {
-        let defers = self.inner.defers.load(Ordering::Relaxed);
-        let reclaimed = self.inner.reclaimed.load(Ordering::Relaxed);
+        let defers = self.inner.defers.get();
+        let reclaimed = self.inner.reclaimed.get();
         let defer_bytes = self.inner.defer_bytes.load(Ordering::Relaxed);
-        let reclaimed_bytes = self.inner.reclaimed_bytes.load(Ordering::Relaxed);
+        let reclaimed_bytes = self.inner.reclaimed_bytes.get();
         DomainStats {
             defers,
-            checkpoints: self.inner.checkpoints.load(Ordering::Relaxed),
+            checkpoints: self.inner.checkpoints.get(),
             reclaimed,
             pending: defers.saturating_sub(reclaimed),
             pending_bytes: defer_bytes.saturating_sub(reclaimed_bytes),
             quarantined: self.inner.registry.num_quarantined() as u64,
-            quarantines: self.inner.registry.quarantines_total(),
+            quarantines: self.inner.quarantines.get(),
         }
     }
 }

@@ -30,8 +30,6 @@ pub struct Registry {
     orphan_count: rcuarray_analysis::atomic::AtomicUsize,
     /// Currently quarantined (force-parked) participants.
     quarantined_count: rcuarray_analysis::atomic::AtomicUsize,
-    /// Total quarantine events since the domain was created.
-    quarantines_total: rcuarray_analysis::atomic::AtomicU64,
 }
 
 impl Registry {
@@ -208,8 +206,6 @@ impl Registry {
             use rcuarray_analysis::atomic::Ordering;
             self.quarantined_count
                 .fetch_add(quarantined, Ordering::AcqRel);
-            self.quarantines_total
-                .fetch_add(quarantined as u64, Ordering::AcqRel);
         }
         quarantined
     }
@@ -224,12 +220,6 @@ impl Registry {
     /// Participants currently quarantined.
     pub fn num_quarantined(&self) -> usize {
         self.quarantined_count
-            .load(rcuarray_analysis::atomic::Ordering::Acquire)
-    }
-
-    /// Total quarantine events since creation.
-    pub fn quarantines_total(&self) -> u64 {
-        self.quarantines_total
             .load(rcuarray_analysis::atomic::Ordering::Acquire)
     }
 
@@ -391,7 +381,6 @@ mod tests {
         assert_eq!(reg.quarantine_stalled(10, 5, StallPolicy::after(4, 5)), 1);
         assert!(stalled.is_quarantined());
         assert_eq!(reg.num_quarantined(), 1);
-        assert_eq!(reg.quarantines_total(), 1);
         assert_eq!(reg.min_observed(10), 10, "min no longer gated");
         // Its chain was orphaned, gated on its own epochs, and now frees.
         assert_eq!(reg.num_orphans(), 1);
@@ -433,7 +422,6 @@ mod tests {
         assert_eq!(reg.num_quarantined(), 1);
         reg.unregister(&r);
         assert_eq!(reg.num_quarantined(), 0);
-        assert_eq!(reg.quarantines_total(), 1, "the total is monotone");
     }
 
     #[test]

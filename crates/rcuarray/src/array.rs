@@ -30,7 +30,7 @@ use crate::scheme::{AmortizedScheme, EbrScheme, LeakScheme, QsbrScheme, Scheme};
 use crate::snapshot::{reclaim_box, Snapshot};
 use crate::stats::ArrayStats;
 use rcuarray_analysis::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram};
+use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram, ScopedCounter};
 use rcuarray_qsbr::QsbrDomain;
 use rcuarray_reclaim::{Reclaim, ReclaimStats, Retired};
 use rcuarray_runtime::{
@@ -40,7 +40,8 @@ use std::ptr::NonNull;
 use std::sync::{Arc, Mutex};
 
 // Telemetry (DESIGN.md §7): process-wide totals across every array.
-// Per-array counts remain on `Shared` and surface through `stats()`.
+// Counted events are scoped counters on `Shared`: one call feeds
+// `stats()` and the process total.
 static OBS_RESIZES: LazyCounter =
     LazyCounter::new("rcuarray_resizes_total", "completed resize operations");
 static OBS_RESIZE_ABORTS: LazyCounter = LazyCounter::new(
@@ -122,9 +123,9 @@ struct Shared<T: Element, S: Scheme> {
     blocks: BlockRegistry<T>,
     scheme: S,
     capacity: AtomicUsize,
-    resizes: AtomicU64,
+    resizes: ScopedCounter,
     /// Resize attempts rolled back after a fault, timeout or panic.
-    aborted_resizes: AtomicU64,
+    aborted_resizes: ScopedCounter,
     /// Reads served from the locale-local snapshot after their remote
     /// charge exhausted its retry budget.
     fallback_reads: AtomicU64,
@@ -133,9 +134,9 @@ struct Shared<T: Element, S: Scheme> {
     degraded_writes: AtomicU64,
     /// Reads served from a replica because the primary's home was not
     /// `Up` (DESIGN.md §15; zero at `replication_factor = 1`).
-    failover_reads: AtomicU64,
+    failover_reads: ScopedCounter,
     /// Bytes copied by `repair_replicas` / `rejoin_catch_up`.
-    rereplicated_bytes: AtomicU64,
+    rereplicated_bytes: ScopedCounter,
 }
 
 /// A parallel-safe distributed resizable array (see [module docs](self)).
@@ -183,12 +184,12 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 blocks: BlockRegistry::new(),
                 scheme,
                 capacity: AtomicUsize::new(0),
-                resizes: AtomicU64::new(0),
-                aborted_resizes: AtomicU64::new(0),
+                resizes: OBS_RESIZES.scoped(),
+                aborted_resizes: OBS_RESIZE_ABORTS.scoped(),
                 fallback_reads: AtomicU64::new(0),
                 degraded_writes: AtomicU64::new(0),
-                failover_reads: AtomicU64::new(0),
-                rereplicated_bytes: AtomicU64::new(0),
+                failover_reads: OBS_FAILOVER_READS.scoped(),
+                rereplicated_bytes: OBS_REREPLICATION_BYTES.scoped(),
             }),
             state,
         }
@@ -341,8 +342,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // SAFETY: replica blocks are registry-owned like every block.
         let v = unsafe { replica.get() }.load(off);
         self.charge_get(loc, T::byte_size());
-        self.shared.failover_reads.fetch_add(1, Ordering::Relaxed);
-        OBS_FAILOVER_READS.inc();
+        self.shared.failover_reads.add(1);
         if let Some(t0) = t0 {
             OBS_FAILOVER_NS.record(t0.elapsed().as_nanos() as u64);
         }
@@ -370,8 +370,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 for k in 0..take {
                     out.push(b.load(off + k));
                 }
-                self.shared.failover_reads.fetch_add(1, Ordering::Relaxed);
-                OBS_FAILOVER_READS.inc();
+                self.shared.failover_reads.add(1);
                 if let Some(t0) = t0 {
                     OBS_FAILOVER_NS.record(t0.elapsed().as_nanos() as u64);
                 }
@@ -811,10 +810,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // Line 28: persist the round-robin cursor.
         self.shared.placement.commit_cursor(&plan);
         let new_cap = self.shared.capacity.fetch_add(add, Ordering::AcqRel) + add;
-        self.shared.resizes.fetch_add(1, Ordering::Relaxed);
+        self.shared.resizes.add(1);
         drop(guard); // line 29
-        OBS_RESIZES.inc();
-        // Every in-view locale's clone recycled the old snapshot's prefix.
+                     // Every in-view locale's clone recycled the old snapshot's prefix.
         OBS_BLOCKS_RECYCLED.add((rollback.old_nblocks * view.num_members()) as u64);
         OBS_CAPACITY.set(new_cap as i64);
         if let Some(t0) = t0 {
@@ -826,8 +824,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// Count an aborted attempt that never reached the rollback guard.
     #[cold]
     fn abort_resize(&self, e: CommError) -> CommError {
-        self.shared.aborted_resizes.fetch_add(1, Ordering::Relaxed);
-        OBS_RESIZE_ABORTS.inc();
+        self.shared.aborted_resizes.add(1);
         e
     }
 
@@ -869,9 +866,8 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // later resize appends fresh groups at `keep_blocks`.
         self.shared.placement.truncate(keep_blocks);
         self.shared.capacity.store(target, Ordering::Release);
-        self.shared.resizes.fetch_add(1, Ordering::Relaxed);
+        self.shared.resizes.add(1);
         drop(guard);
-        OBS_RESIZES.inc();
         OBS_CAPACITY.set(target as i64);
         target
     }
@@ -1098,10 +1094,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             unpaced += bytes as u64;
         }
         if copied > 0 {
-            self.shared
-                .rereplicated_bytes
-                .fetch_add(copied as u64, Ordering::Relaxed);
-            OBS_REREPLICATION_BYTES.add(copied as u64);
+            self.shared.rereplicated_bytes.add(copied as u64);
         }
         copied
     }
@@ -1238,10 +1231,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 });
             }
             if copied > 0 {
-                shared
-                    .rereplicated_bytes
-                    .fetch_add(copied as u64, Ordering::Relaxed);
-                OBS_REREPLICATION_BYTES.add(copied as u64);
+                shared.rereplicated_bytes.add(copied as u64);
             }
         }
         shared.cluster.membership().mark_caught_up(locale);
@@ -1266,12 +1256,12 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 .shared
                 .blocks
                 .per_locale_histogram(self.shared.cluster.num_locales()),
-            resizes: self.shared.resizes.load(Ordering::Relaxed),
-            aborted_resizes: self.shared.aborted_resizes.load(Ordering::Relaxed),
+            resizes: self.shared.resizes.get(),
+            aborted_resizes: self.shared.aborted_resizes.get(),
             fallback_reads: self.shared.fallback_reads.load(Ordering::Relaxed),
             degraded_writes: self.shared.degraded_writes.load(Ordering::Relaxed),
-            failover_reads: self.shared.failover_reads.load(Ordering::Relaxed),
-            rereplicated_bytes: self.shared.rereplicated_bytes.load(Ordering::Relaxed),
+            failover_reads: self.shared.failover_reads.get(),
+            rereplicated_bytes: self.shared.rereplicated_bytes.get(),
             replica_lag_bytes: self.shared.placement.lag_bytes(),
             reclaim,
             comm: self.shared.cluster.comm_stats(),
@@ -1300,8 +1290,7 @@ impl<T: Element, S: Scheme> Drop for ResizeRollback<'_, T, S> {
             return;
         }
         let shared = &self.array.shared;
-        shared.aborted_resizes.fetch_add(1, Ordering::Relaxed);
-        OBS_RESIZE_ABORTS.inc();
+        shared.aborted_resizes.add(1);
         // Drop the groups the failed attempt appended; their blocks stay
         // registry-owned like every block of a rolled-back resize.
         shared.placement.truncate(self.old_nblocks);

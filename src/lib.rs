@@ -36,9 +36,7 @@ pub mod prelude {
         AmortizedArray, Backpressure, Config, EbrArray, ElemRef, Element, LeakArray,
         PressureConfig, QsbrArray, RcuArray, ReclaimStats, Scheme, StallPolicy, DEFAULT_BLOCK_SIZE,
     };
-    pub use rcuarray_baselines::{
-        HazardArray, HazardScheme, LockFreeVector, RwLockArray, SyncArray, UnsafeArray,
-    };
+    pub use rcuarray_baselines::{HazardArray, HazardScheme, SyncArray, UnsafeArray};
     pub use rcuarray_collections::{DistTable, DistVector};
     pub use rcuarray_ebr::{EpochGuard, EpochZone, OrderingMode};
     pub use rcuarray_qsbr::QsbrDomain;

@@ -1,5 +1,5 @@
 //! Every array variant in the workspace — RCUArray under EBR, QSBR and
-//! hazard pointers, plus the four standalone comparators — must compute
+//! hazard pointers, plus the two standalone comparators — must compute
 //! identical results for identical deterministic workloads. Performance
 //! differs; semantics must not.
 
@@ -25,9 +25,7 @@ fn variants(cluster: &Arc<Cluster>) -> Vec<Variant> {
     let qsbr = Arc::new(QsbrArray::<u64>::with_config(cluster, cfg));
     let unsafe_a = Arc::new(UnsafeArray::<u64>::with_accounting(cluster, false));
     let sync_a = Arc::new(SyncArray::<u64>::with_accounting(cluster, false));
-    let rw = Arc::new(RwLockArray::<u64>::with_accounting(cluster, false));
     let hz = Arc::new(HazardArray::<u64>::with_config(cluster, cfg));
-    let lf = Arc::new(LockFreeVector::<u64>::new());
 
     vec![
         Variant {
@@ -116,27 +114,6 @@ fn variants(cluster: &Arc<Cluster>) -> Vec<Variant> {
             },
         },
         Variant {
-            name: "RwLockArray",
-            read: {
-                let a = Arc::clone(&rw);
-                Box::new(move |i| a.read(i))
-            },
-            write: {
-                let a = Arc::clone(&rw);
-                Box::new(move |i, v| a.write(i, v))
-            },
-            resize: {
-                let a = Arc::clone(&rw);
-                Box::new(move |n| {
-                    a.resize(n.div_ceil(16) * 16);
-                })
-            },
-            capacity: {
-                let a = rw;
-                Box::new(move || a.capacity())
-            },
-        },
-        Variant {
             name: "HazardArray",
             read: {
                 let a = Arc::clone(&hz);
@@ -157,30 +134,11 @@ fn variants(cluster: &Arc<Cluster>) -> Vec<Variant> {
                 Box::new(move || a.capacity())
             },
         },
-        Variant {
-            name: "LockFreeVector",
-            read: {
-                let a = Arc::clone(&lf);
-                Box::new(move |i| a.read(i))
-            },
-            write: {
-                let a = Arc::clone(&lf);
-                Box::new(move |i, v| a.write(i, v))
-            },
-            resize: {
-                let a = Arc::clone(&lf);
-                Box::new(move |n| a.extend_default(n.div_ceil(16) * 16))
-            },
-            capacity: {
-                let a = lf;
-                Box::new(move || a.len())
-            },
-        },
     ]
 }
 
 #[test]
-fn all_seven_variants_agree_on_a_deterministic_workload() {
+fn all_five_variants_agree_on_a_deterministic_workload() {
     let cluster = Cluster::new(Topology::new(2, 1));
     let vs = variants(&cluster);
 
