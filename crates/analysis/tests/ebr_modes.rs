@@ -8,10 +8,10 @@
 //! test: the barrier must order every pinned reader's slot access before
 //! the writer's reuse write.
 //!
-//! - `OrderingMode::Relaxed` (the measurement-only unsound mode) must
-//!   produce a detected race with a reproducing seed;
-//! - `SeqCst` (the paper's configuration) and `AcqRelFence` must come out
-//!   clean across a bounded-exploration sweep.
+//! - `OrderingMode::Relaxed` (the seeded mutation) must produce a
+//!   detected race with a reproducing seed;
+//! - `SeqCst` (the paper's configuration, the only one an array runs)
+//!   must come out clean across a bounded-exploration sweep.
 
 #![cfg(feature = "check")]
 
@@ -27,8 +27,18 @@ struct Shared {
     cur: AtomicUsize,
 }
 
+/// Intern the zone's process-wide metric handles outside the checker.
+/// The first interning takes the registry lock, an instrumented
+/// scheduling point: without this, whichever checked run builds the
+/// first zone in the process explores a schedule its own replay cannot
+/// reproduce, and the outcome depends on test order.
+fn warm_metric_handles() {
+    drop(EpochZone::new());
+}
+
 /// The read-vs-reclaim scenario for one ordering mode.
 fn scenario(mode: OrderingMode) -> impl Fn() + Send + Sync + 'static {
+    warm_metric_handles();
     move || {
         let sh = Arc::new(Shared {
             zone: EpochZone::with_mode(mode),
@@ -103,6 +113,7 @@ fn relaxed_mode_races_with_reproducing_seed() {
 /// Bounded harnesses meant for exhaustive modes are oriented so the
 /// property under test does not hide behind a spin subtree.
 fn reader_rooted(mode: OrderingMode) -> impl Fn() + Send + Sync + 'static {
+    warm_metric_handles();
     move || {
         let sh = Arc::new(Shared {
             zone: EpochZone::with_mode(mode),
@@ -184,49 +195,40 @@ fn seqcst_mode_is_clean() {
     assert!(report.deadlocks.is_empty());
 }
 
-#[test]
-fn acqrel_fence_mode_is_clean() {
-    let report = sweep(OrderingMode::AcqRelFence);
-    assert!(report.is_clean(), "{report}");
-    assert!(report.deadlocks.is_empty());
-}
-
-/// Two concurrent readers against one writer, sound modes only: the
-/// barrier must serialize reclamation against both.
+/// Two concurrent readers against one writer under the paper's SeqCst
+/// protocol: the barrier must serialize reclamation against both.
 #[test]
 fn two_readers_sound_modes_clean() {
-    for mode in [OrderingMode::SeqCst, OrderingMode::AcqRelFence] {
-        let report = Checker::new(Config {
-            base_seed: 0x5eed_eb21,
-            iterations: 24,
-            ..Config::default()
-        })
-        .run(move || {
-            let sh = Arc::new(Shared {
-                zone: EpochZone::with_mode(mode),
-                slots: [CheckedCell::new(1), CheckedCell::new(2)],
-                cur: AtomicUsize::new(0),
-            });
-            let handles: Vec<_> = (0..2)
-                .map(|_| {
-                    let r = sh.clone();
-                    thread::spawn(move || {
-                        let ticket = r.zone.pin();
-                        let idx = r.cur.load(Ordering::Acquire);
-                        let _ = r.slots[idx].read();
-                        r.zone.unpin(ticket);
-                    })
-                })
-                .collect();
-            sh.slots[1].write(2);
-            sh.cur.store(1, Ordering::Release);
-            let old = sh.zone.advance();
-            sh.zone.wait_for_readers(old);
-            sh.slots[0].write(0xDEAD);
-            for h in handles {
-                let _ = h.join();
-            }
+    let report = Checker::new(Config {
+        base_seed: 0x5eed_eb21,
+        iterations: 24,
+        ..Config::default()
+    })
+    .run(move || {
+        let sh = Arc::new(Shared {
+            zone: EpochZone::new(),
+            slots: [CheckedCell::new(1), CheckedCell::new(2)],
+            cur: AtomicUsize::new(0),
         });
-        assert!(report.is_clean(), "mode {mode:?}: {report}");
-    }
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                let r = sh.clone();
+                thread::spawn(move || {
+                    let ticket = r.zone.pin();
+                    let idx = r.cur.load(Ordering::Acquire);
+                    let _ = r.slots[idx].read();
+                    r.zone.unpin(ticket);
+                })
+            })
+            .collect();
+        sh.slots[1].write(2);
+        sh.cur.store(1, Ordering::Release);
+        let old = sh.zone.advance();
+        sh.zone.wait_for_readers(old);
+        sh.slots[0].write(0xDEAD);
+        for h in handles {
+            let _ = h.join();
+        }
+    });
+    assert!(report.is_clean(), "{report}");
 }

@@ -16,8 +16,7 @@
 #![cfg(feature = "check")]
 
 use rcuarray::{
-    AmortizedScheme, Config as ArrayConfig, EbrArray, EbrScheme, LeakScheme, QsbrScheme, RcuArray,
-    Scheme,
+    Config as ArrayConfig, EbrArray, EbrScheme, LeakScheme, QsbrScheme, RcuArray, Scheme,
 };
 use rcuarray_analysis::{thread, Checker, Config, Policy};
 use rcuarray_baselines::HazardScheme;
@@ -28,9 +27,6 @@ fn small_config() -> ArrayConfig {
     ArrayConfig {
         block_size: 2,
         account_comm: false,
-        // Exercise the amortized scheme's partial drains: one snapshot
-        // per checkpoint. Ignored by the other schemes.
-        drain_budget: 1,
         ..ArrayConfig::default()
     }
 }
@@ -38,7 +34,7 @@ fn small_config() -> ArrayConfig {
 /// The paper's core scenario — a reader fully concurrent with a resize —
 /// written once against the [`Scheme`] seam and instantiated per scheme.
 /// `checkpoint` is the scheme-neutral quiescence announcement: a drain
-/// under the QSBR family, a no-op under EBR and Leak.
+/// under QSBR, a no-op under EBR and Leak.
 fn read_concurrent_with_resize<S: Scheme>(cfg: Config) {
     let report = Checker::new(cfg).run(|| {
         let cluster = Cluster::new(Topology::new(1, 1));
@@ -89,11 +85,6 @@ fn ebr_read_concurrent_with_resize_is_clean() {
 #[test]
 fn qsbr_read_concurrent_with_resize_is_clean() {
     read_concurrent_with_resize::<QsbrScheme>(sampled(0x5eed_0a02));
-}
-
-#[test]
-fn amortized_read_concurrent_with_resize_is_clean() {
-    read_concurrent_with_resize::<AmortizedScheme>(sampled(0x5eed_0a04));
 }
 
 #[test]

@@ -3,7 +3,7 @@
 
 use crate::backoff::Backoff;
 use crate::ordering::OrderingMode;
-use rcuarray_analysis::atomic::{fence, AtomicU64, Ordering};
+use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_obs::{LazyCounter, ScopedCounter};
 use rcuarray_reclaim::{PressureConfig, Retired, StallPolicy};
 use std::sync::Mutex;
@@ -159,7 +159,8 @@ impl EpochZone {
         Self::with_mode(OrderingMode::SeqCst)
     }
 
-    /// A zone using a specific [`OrderingMode`] (for the ablation bench).
+    /// A zone using a specific [`OrderingMode`]: the seeded-mutation seam
+    /// the model-checker suites use to build a `Relaxed` (broken) zone.
     pub fn with_mode(mode: OrderingMode) -> Self {
         EpochZone {
             global_epoch: Padded::default(),
@@ -217,12 +218,6 @@ impl EpochZone {
         }
     }
 
-    /// The protocol ordering in use.
-    #[inline]
-    pub fn mode(&self) -> OrderingMode {
-        self.mode
-    }
-
     /// Current epoch value.
     #[inline]
     pub fn epoch(&self) -> u64 {
@@ -254,12 +249,6 @@ impl EpochZone {
             let epoch = self.global_epoch.0.load(self.mode.load());
             let idx = (epoch & 1) as usize;
             self.readers[idx].0.fetch_add(1, self.mode.rmw());
-            if self.mode.needs_fence() {
-                // The increment must be globally visible before the
-                // verification read, or a concurrent writer could both miss
-                // this reader and have this reader miss its advance.
-                fence(Ordering::SeqCst);
-            }
             if epoch == self.global_epoch.0.load(self.mode.load()) {
                 // Linearized: any writer advancing past `epoch` is now
                 // obliged to wait for this parity counter to drain.
@@ -276,13 +265,9 @@ impl EpochZone {
     /// Retire a read-side critical section (Algorithm 1 line 15).
     #[inline]
     pub fn unpin(&self, ticket: ReadTicket) {
-        // `Release` at minimum: everything the reader did inside the
-        // critical section must happen-before a writer observing the drain.
-        let ord = match self.mode.rmw() {
-            Ordering::Relaxed => Ordering::Relaxed,
-            _ => self.mode.rmw(),
-        };
-        self.readers[ticket.idx].0.fetch_sub(1, ord);
+        // Everything the reader did inside the critical section must
+        // happen-before a writer observing the drain (SeqCst covers it).
+        self.readers[ticket.idx].0.fetch_sub(1, self.mode.rmw());
     }
 
     /// Writer step 1 (Algorithm 1 line 5): advance the epoch from `e` to
@@ -567,16 +552,6 @@ mod tests {
         let s = z.stats();
         assert_eq!(s.pins, 5);
         assert_eq!(s.advances, 1);
-    }
-
-    #[test]
-    fn acqrel_mode_protocol_works() {
-        let z = EpochZone::with_mode(OrderingMode::AcqRelFence);
-        let t = z.pin();
-        assert_eq!(z.readers_on(0), 1);
-        z.unpin(t);
-        z.synchronize();
-        assert_eq!(z.epoch(), 1);
     }
 
     #[test]

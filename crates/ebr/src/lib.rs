@@ -37,7 +37,8 @@
 //! The collective counters are also why the paper measures EBRArray at
 //! 2–40% of an unsynchronized array's read throughput: every read performs
 //! two sequentially-consistent read-modify-writes on *shared* cache lines.
-//! [`OrderingMode`] exposes that knob for the ablation benchmark.
+//! [`OrderingMode`] keeps that ordering swappable only so the model
+//! checker can be shown a deliberately relaxed (broken) zone.
 //!
 //! ## Example
 //!

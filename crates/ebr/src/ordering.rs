@@ -1,11 +1,12 @@
 //! Memory-ordering modes for the `EpochReaders` protocol.
 //!
-//! The paper attributes EBRArray's poor read throughput to "the contention
-//! and sequential consistency memory ordering of the Fetch-And-Add and
-//! Fetch-And-Sub atomic operations on the EpochReaders counters" (§V-B).
-//! To let the ablation benchmark quantify how much of the cost is the
-//! *ordering* versus the *contention*, the zone's protocol ordering is a
-//! runtime knob.
+//! The paper's protocol is sequentially consistent throughout: §V-B
+//! blames "the contention and sequential consistency memory ordering of
+//! the Fetch-And-Add and Fetch-And-Sub atomic operations on the
+//! EpochReaders counters" for EBRArray's read cost, and that is the only
+//! ordering an array runs. The enum exists as a seeded-mutation seam:
+//! `EpochZone::with_mode(OrderingMode::Relaxed)` builds a deliberately
+//! under-synchronized zone that the `ebr_modes` checker suite must catch.
 
 use rcuarray_analysis::atomic::Ordering;
 
@@ -16,24 +17,12 @@ pub enum OrderingMode {
     /// sequentially consistent. Correct on all architectures.
     #[default]
     SeqCst,
-    /// Increments/decrements use `AcqRel` and the verification load uses
-    /// `Acquire`, with an explicit `SeqCst` fence between the increment and
-    /// the verification read.
-    ///
-    /// The fence preserves the store–load ordering the protocol needs (the
-    /// reader's increment must be globally visible before its verification
-    /// read), so this mode is still correct; it simply relocates the cost
-    /// into one fence instead of three SC operations. On x86-64 the fence
-    /// and the SC RMW compile to the same `lock`-prefixed instructions, so
-    /// any measured difference isolates compiler-level effects.
-    AcqRelFence,
     /// All protocol operations relaxed.
     ///
-    /// **Measurement-only.** This under-synchronized mode exists to put a
-    /// lower bound on the protocol's cost in the ordering ablation. It is
-    /// not correct in general (a writer may miss a reader's announcement)
-    /// and must never be used to protect real reclamation. The zone's
-    /// debug assertions stay active under it.
+    /// **Mutation-only.** This under-synchronized mode is not correct (a
+    /// writer may miss a reader's announcement); it exists so the model
+    /// checker has a known-broken protocol to find. The zone's debug
+    /// assertions stay active under it.
     Relaxed,
 }
 
@@ -43,7 +32,6 @@ impl OrderingMode {
     pub fn rmw(self) -> Ordering {
         match self {
             OrderingMode::SeqCst => Ordering::SeqCst,
-            OrderingMode::AcqRelFence => Ordering::AcqRel,
             OrderingMode::Relaxed => Ordering::Relaxed,
         }
     }
@@ -53,22 +41,8 @@ impl OrderingMode {
     pub fn load(self) -> Ordering {
         match self {
             OrderingMode::SeqCst => Ordering::SeqCst,
-            OrderingMode::AcqRelFence => Ordering::Acquire,
             OrderingMode::Relaxed => Ordering::Relaxed,
         }
-    }
-
-    /// Whether an explicit `SeqCst` fence is required between the increment
-    /// and the verification load.
-    #[inline]
-    pub fn needs_fence(self) -> bool {
-        matches!(self, OrderingMode::AcqRelFence)
-    }
-
-    /// Whether this mode is safe to protect actual memory reclamation.
-    #[inline]
-    pub fn is_sound(self) -> bool {
-        !matches!(self, OrderingMode::Relaxed)
     }
 }
 
@@ -86,24 +60,12 @@ mod tests {
         let m = OrderingMode::SeqCst;
         assert_eq!(m.rmw(), Ordering::SeqCst);
         assert_eq!(m.load(), Ordering::SeqCst);
-        assert!(!m.needs_fence());
-        assert!(m.is_sound());
     }
 
     #[test]
-    fn acqrel_needs_fence_and_is_sound() {
-        let m = OrderingMode::AcqRelFence;
-        assert_eq!(m.rmw(), Ordering::AcqRel);
-        assert_eq!(m.load(), Ordering::Acquire);
-        assert!(m.needs_fence());
-        assert!(m.is_sound());
-    }
-
-    #[test]
-    fn relaxed_is_flagged_unsound() {
+    fn relaxed_maps_to_relaxed() {
         let m = OrderingMode::Relaxed;
         assert_eq!(m.rmw(), Ordering::Relaxed);
-        assert!(!m.is_sound());
-        assert!(!m.needs_fence());
+        assert_eq!(m.load(), Ordering::Relaxed);
     }
 }

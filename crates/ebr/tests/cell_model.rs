@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use rcuarray_analysis::atomic::{AtomicBool, AtomicUsize, Ordering};
-use rcuarray_ebr::{EpochZone, OrderingMode, RcuPtr};
+use rcuarray_ebr::{EpochZone, RcuPtr};
 use std::sync::Arc;
 
 type Cell<T> = RcuPtr<T, EpochZone>;
@@ -201,20 +201,6 @@ fn retry_rate_is_visible_in_stats_under_writer_pressure() {
     assert_eq!(stats.pins, 30_000);
     // Retries are schedule-dependent; just require the counter is sane.
     assert!(stats.retries < 10_000_000);
-}
-
-#[test]
-fn acqrel_cell_agrees_with_seqcst_cell_sequentially() {
-    let a = RcuPtr::new(0u64, Arc::new(EpochZone::with_mode(OrderingMode::SeqCst)));
-    let b = RcuPtr::new(
-        0u64,
-        Arc::new(EpochZone::with_mode(OrderingMode::AcqRelFence)),
-    );
-    for k in 0..100 {
-        a.update(|v| v + k);
-        b.update(|v| v + k);
-        assert_eq!(a.read(|v| *v), b.read(|v| *v));
-    }
 }
 
 #[test]

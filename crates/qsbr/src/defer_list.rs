@@ -63,7 +63,8 @@ impl DeferList {
     /// Panics (debug builds) if `epoch` is smaller than the head's epoch:
     /// safe epochs derive from the monotonic `StateEpoch`, so successive
     /// pushes must be non-decreasing — that is what keeps the list sorted
-    /// descending (Lemma 4; property-tested in this crate's proptests).
+    /// descending (Lemma 4; property-tested by `defer_list_matches_model`
+    /// in the workspace's `tests/proptest_invariants.rs`).
     pub fn push(&mut self, epoch: u64, reclaim: impl FnOnce() + Send + 'static) {
         self.push_with_bytes(epoch, 0, reclaim);
     }
@@ -126,87 +127,6 @@ impl DeferList {
         let cut = self.len - kept;
         let cut_bytes = self.bytes - kept_bytes;
         self.len = kept;
-        self.bytes = kept_bytes;
-        DeferChain {
-            head: suffix,
-            len: cut,
-            bytes: cut_bytes,
-        }
-    }
-
-    /// [`pop_less_equal`](Self::pop_less_equal) with a drain budget: cut at
-    /// most `budget` entries, and specifically the **oldest** ones (the
-    /// tail), leaving any newer reclaimable entries in place.
-    ///
-    /// This is the DEBRA-style amortization primitive: a checkpoint that
-    /// must stay cheap frees a bounded amount of backlog per call instead
-    /// of the entire reclaimable suffix. Cutting from the tail keeps the
-    /// kept portion a *prefix* of the original list, so the
-    /// descending-epoch invariant (Lemma 4) is preserved untouched.
-    pub fn pop_less_equal_budget(&mut self, min_epoch: u64, budget: usize) -> DeferChain {
-        self.pop_less_equal_budgeted(min_epoch, budget, usize::MAX)
-    }
-
-    /// [`pop_less_equal_budget`](Self::pop_less_equal_budget) with an
-    /// additional **byte** budget: the cut stops once the freed entries'
-    /// cumulative size hints would exceed `byte_budget` — but always
-    /// frees at least one reclaimable entry, so a single oversized entry
-    /// cannot wedge the drain (it overshoots by its own size instead:
-    /// the same "one retire of slack" contract `PressureConfig` gives).
-    pub fn pop_less_equal_budgeted(
-        &mut self,
-        min_epoch: u64,
-        budget: usize,
-        byte_budget: usize,
-    ) -> DeferChain {
-        if budget == 0 || byte_budget == 0 || self.head.is_none() {
-            return DeferChain::empty();
-        }
-        // The reclaimable entries form a contiguous tail suffix (the list
-        // is sorted descending from the head); collect its sizes in
-        // head→tail order.
-        let mut suffix_bytes: Vec<usize> = Vec::new();
-        let mut cur = self.head.as_deref();
-        while let Some(n) = cur {
-            if n.epoch <= min_epoch {
-                suffix_bytes.push(n.bytes);
-            }
-            cur = n.next.as_deref();
-        }
-        let suffix_len = suffix_bytes.len();
-        if suffix_len == 0 {
-            return DeferChain::empty();
-        }
-        // Oldest entries sit at the tail: grow the cut from the back of
-        // the suffix while both budgets hold, guaranteeing at least one.
-        let mut take = 0usize;
-        let mut taken_bytes = 0usize;
-        for &b in suffix_bytes.iter().rev() {
-            if take >= budget {
-                break;
-            }
-            if take > 0 && taken_bytes.saturating_add(b) > byte_budget {
-                break;
-            }
-            take += 1;
-            taken_bytes = taken_bytes.saturating_add(b);
-        }
-        let keep = self.len - take;
-        if keep == 0 {
-            return self.take_all();
-        }
-        // Walk to the last kept node and cut there: everything after it is
-        // the `take` oldest entries.
-        let mut cursor: &mut Box<Node> = self.head.as_mut().expect("non-empty checked above");
-        let mut kept_bytes = cursor.bytes;
-        for _ in 1..keep {
-            cursor = cursor.next.as_mut().expect("keep < len");
-            kept_bytes += cursor.bytes;
-        }
-        let suffix = cursor.next.take();
-        let cut = self.len - keep;
-        let cut_bytes = self.bytes - kept_bytes;
-        self.len = keep;
         self.bytes = kept_bytes;
         DeferChain {
             head: suffix,
@@ -491,119 +411,6 @@ mod tests {
         let chain = l.pop_less_equal(100);
         assert_eq!(chain.bytes(), 24);
         assert_eq!(l.bytes(), 0);
-    }
-
-    #[test]
-    fn budgeted_pop_takes_oldest_entries_first() {
-        let c = Arc::new(AtomicUsize::new(0));
-        let mut l = DeferList::new();
-        for e in [1u64, 2, 3, 4, 5] {
-            l.push(e, counting(&c));
-        }
-        // Everything is reclaimable, but budget 2 must free only the two
-        // oldest (epochs 1 and 2) and keep the rest in order.
-        let chain = l.pop_less_equal_budget(100, 2);
-        assert_eq!(chain.len(), 2);
-        drop(chain);
-        assert_eq!(c.load(Ordering::SeqCst), 2);
-        assert_eq!(l.epochs(), vec![5, 4, 3]);
-        // Subsequent pushes still satisfy the descending invariant.
-        l.push(6, counting(&c));
-        assert_eq!(l.epochs(), vec![6, 5, 4, 3]);
-    }
-
-    #[test]
-    fn budgeted_pop_respects_min_epoch_boundary() {
-        let mut l = DeferList::new();
-        for e in [1u64, 2, 8, 9] {
-            l.push(e, || {});
-        }
-        // Only epochs <= 2 are reclaimable; a large budget must not cross
-        // the safety boundary.
-        let chain = l.pop_less_equal_budget(2, 10);
-        assert_eq!(chain.len(), 2);
-        assert_eq!(l.epochs(), vec![9, 8]);
-    }
-
-    #[test]
-    fn budgeted_pop_with_zero_budget_is_noop() {
-        let mut l = DeferList::new();
-        l.push(1, || {});
-        assert!(l.pop_less_equal_budget(100, 0).is_empty());
-        assert_eq!(l.len(), 1);
-    }
-
-    #[test]
-    fn budgeted_pop_drains_whole_list_when_budget_covers_it() {
-        let mut l = DeferList::new();
-        l.push_with_bytes(1, 8, || {});
-        l.push_with_bytes(2, 16, || {});
-        let chain = l.pop_less_equal_budget(100, 2);
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain.bytes(), 24);
-        assert!(l.is_empty());
-        assert_eq!(l.bytes(), 0);
-    }
-
-    #[test]
-    fn budgeted_pop_byte_accounting_follows_the_cut() {
-        let mut l = DeferList::new();
-        l.push_with_bytes(1, 100, || {});
-        l.push_with_bytes(2, 30, || {});
-        l.push_with_bytes(3, 7, || {});
-        let chain = l.pop_less_equal_budget(100, 1);
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain.bytes(), 100, "oldest entry carries 100 bytes");
-        assert_eq!(l.bytes(), 37);
-    }
-
-    #[test]
-    fn byte_budgeted_pop_stops_at_the_byte_cap() {
-        let c = Arc::new(AtomicUsize::new(0));
-        let mut l = DeferList::new();
-        for (e, b) in [(1u64, 40usize), (2, 40), (3, 40), (4, 40)] {
-            l.push_with_bytes(e, b, counting(&c));
-        }
-        // Everything reclaimable; 100-byte budget fits the two oldest
-        // (80 bytes), the third would cross.
-        let chain = l.pop_less_equal_budgeted(100, usize::MAX, 100);
-        assert_eq!(chain.len(), 2);
-        assert_eq!(chain.bytes(), 80);
-        drop(chain);
-        assert_eq!(c.load(Ordering::SeqCst), 2);
-        assert_eq!(l.epochs(), vec![4, 3]);
-    }
-
-    #[test]
-    fn byte_budgeted_pop_always_frees_one_oversized_entry() {
-        let mut l = DeferList::new();
-        l.push_with_bytes(1, 1000, || {});
-        l.push_with_bytes(2, 1000, || {});
-        // A 1-byte budget cannot fit any entry, but progress is
-        // guaranteed: the oldest frees anyway (one-entry slack).
-        let chain = l.pop_less_equal_budgeted(100, usize::MAX, 1);
-        assert_eq!(chain.len(), 1);
-        assert_eq!(chain.bytes(), 1000);
-        assert_eq!(l.len(), 1);
-    }
-
-    #[test]
-    fn byte_budgeted_pop_respects_the_entry_budget_too() {
-        let mut l = DeferList::new();
-        for e in 1..=4u64 {
-            l.push_with_bytes(e, 1, || {});
-        }
-        let chain = l.pop_less_equal_budgeted(100, 3, usize::MAX);
-        assert_eq!(chain.len(), 3, "entry budget still binds");
-        assert_eq!(l.epochs(), vec![4]);
-    }
-
-    #[test]
-    fn byte_budgeted_pop_zero_byte_budget_is_noop() {
-        let mut l = DeferList::new();
-        l.push_with_bytes(1, 8, || {});
-        assert!(l.pop_less_equal_budgeted(100, usize::MAX, 0).is_empty());
-        assert_eq!(l.len(), 1);
     }
 
     #[test]

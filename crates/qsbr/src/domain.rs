@@ -340,43 +340,6 @@ impl QsbrDomain {
     /// memory managed by QSBR if it has been acquired prior to a
     /// checkpoint" (paper §III-B).
     pub fn checkpoint(&self) -> usize {
-        self.checkpoint_impl(usize::MAX, usize::MAX)
-    }
-
-    /// [`checkpoint`](Self::checkpoint) with a bounded drain: announce
-    /// quiescence exactly as a full checkpoint does, but execute at most
-    /// `budget` deferred reclamations from this thread's own list —
-    /// specifically the *oldest* ones — leaving the rest for later calls
-    /// (DEBRA-style amortization: no single checkpoint pays for an
-    /// unbounded backlog).
-    ///
-    /// Orphaned chains (from exited or parked threads) are adopted whole
-    /// and reclaimed whole, one chain at a time, only while budget remains
-    /// after the local drain; the last chain reclaimed may therefore
-    /// overshoot the budget by its own length, but further chains wait for
-    /// later calls. `budget == 0` is a pure quiescence announcement that
-    /// frees nothing.
-    ///
-    /// The same contract as [`checkpoint`](Self::checkpoint) applies: the
-    /// calling thread must hold no references to protected data acquired
-    /// before this call.
-    pub fn checkpoint_budgeted(&self, budget: usize) -> usize {
-        self.checkpoint_impl(budget, usize::MAX)
-    }
-
-    /// [`checkpoint_budgeted`](Self::checkpoint_budgeted) with an
-    /// additional *byte* budget: the drain stops once the freed entries'
-    /// size hints reach `byte_budget` (overshooting by at most one entry),
-    /// so a bounded drain composes with [`PressureConfig`]'s byte caps —
-    /// what the cap measures is what the drain retires against.
-    pub fn checkpoint_budgeted_bytes(&self, budget: usize, byte_budget: usize) -> usize {
-        self.checkpoint_impl(budget, byte_budget)
-    }
-
-    /// The one checkpoint engine behind [`checkpoint`](Self::checkpoint)
-    /// and its budgeted variants: announce quiescence, rejoin after
-    /// quarantine, detect stalls, then drain within the given budgets.
-    fn checkpoint_impl(&self, budget: usize, byte_budget: usize) -> usize {
         let record = self.record();
         // Observe the current state: a promise of quiescence of any
         // earlier state (lines 4–5). The defer guard spans the observe so
@@ -394,13 +357,12 @@ impl QsbrDomain {
             OBS_REJOINS.inc();
         }
         self.inner.checkpoints.add(1);
-        // Fast path: nothing to reclaim here (or a zero budget — a pure
-        // quiescence announcement). The announcement above is the
+        // Fast path: nothing to reclaim here. The announcement above is the
         // checkpoint's semantic payload; the scan and split only matter
         // when this thread has pending defers or orphans exist. This keeps
         // high-frequency checkpoints (Fig. 4's every-op case) to an epoch
         // load, the uncontended defer-flag swap and a few cheap checks.
-        if budget == 0 || byte_budget == 0 || (pending == 0 && !self.inner.registry.has_orphans()) {
+        if pending == 0 && !self.inner.registry.has_orphans() {
             return 0;
         }
         // Slow (reclaiming) path: measured — fast-path checkpoints never
@@ -427,19 +389,12 @@ impl QsbrDomain {
             }
         }
         // Split our defer list at the safe boundary and reclaim
-        // (lines 9–13), within budget.
-        let chain: DeferChain =
-            record
-                .lock_defer()
-                .pop_less_equal_budgeted(min, budget, byte_budget);
+        // (lines 9–13).
+        let chain: DeferChain = record.lock_defer().pop_less_equal(min);
         let mut freed_bytes = chain.bytes() as u64;
         let mut freed = chain.reclaim_all();
-        if freed < budget && self.inner.registry.has_orphans() {
-            let (n, b) = self.inner.registry.reclaim_orphans_budgeted_bytes(
-                min,
-                budget - freed,
-                byte_budget.saturating_sub(freed_bytes as usize),
-            );
+        if self.inner.registry.has_orphans() {
+            let (n, b) = self.inner.registry.reclaim_orphans(min);
             freed += n;
             freed_bytes += b as u64;
         }
@@ -811,100 +766,10 @@ mod tests {
     }
 
     #[test]
-    fn budgeted_checkpoint_drains_incrementally() {
-        let d = QsbrDomain::new();
-        let c = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            counter_defer(&d, &c);
-        }
-        assert_eq!(d.checkpoint_budgeted(2), 2);
-        assert_eq!(c.load(Ordering::SeqCst), 2);
-        assert_eq!(d.stats().pending, 3);
-        assert_eq!(d.checkpoint_budgeted(2), 2);
-        assert_eq!(d.checkpoint_budgeted(2), 1, "final partial batch");
-        assert_eq!(c.load(Ordering::SeqCst), 5);
-        assert_eq!(d.stats().pending, 0);
-        assert_eq!(d.checkpoint_budgeted(2), 0, "drained");
-    }
-
-    #[test]
-    fn budgeted_checkpoint_zero_budget_announces_but_frees_nothing() {
-        let d = QsbrDomain::new();
-        let c = Arc::new(AtomicUsize::new(0));
-        counter_defer(&d, &c);
-        assert_eq!(d.checkpoint_budgeted(0), 0);
-        assert_eq!(c.load(Ordering::SeqCst), 0);
-        assert_eq!(d.stats().checkpoints, 1, "still counts as a checkpoint");
-        // The zero-budget call still observed the state epoch, so a later
-        // budgeted call frees normally.
-        assert_eq!(d.checkpoint_budgeted(8), 1);
-    }
-
-    #[test]
-    fn budgeted_checkpoint_respects_lagging_threads() {
-        let d = QsbrDomain::new();
-        let c = Arc::new(AtomicUsize::new(0));
-        let ready = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-
-        let d2 = d.clone();
-        let ready2 = Arc::clone(&ready);
-        let release2 = Arc::clone(&release);
-        let lagger = rcuarray_analysis::thread::spawn(move || {
-            d2.register_current_thread();
-            ready2.wait();
-            release2.wait();
-            d2.checkpoint();
-        });
-
-        ready.wait();
-        counter_defer(&d, &c);
-        assert_eq!(
-            d.checkpoint_budgeted(100),
-            0,
-            "budget cannot override safety"
-        );
-        release.wait();
-        lagger.join().unwrap();
-        assert_eq!(d.checkpoint_budgeted(100), 1);
-        assert_eq!(c.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn budgeted_checkpoint_byte_accounting_matches_partial_drain() {
-        let d = QsbrDomain::new();
-        d.defer_with_bytes(100, || {});
-        d.defer_with_bytes(30, || {});
-        d.defer_with_bytes(7, || {});
-        assert_eq!(d.checkpoint_budgeted(1), 1);
-        // The oldest entry (100 bytes) went first.
-        assert_eq!(d.stats().pending_bytes, 37);
-        d.checkpoint();
-        assert_eq!(d.stats().pending_bytes, 0);
-    }
-
-    #[test]
     fn checkpoint_with_nothing_pending_is_cheap_and_zero() {
         let d = QsbrDomain::new();
         assert_eq!(d.checkpoint(), 0);
         assert_eq!(d.stats().checkpoints, 1);
-    }
-
-    #[test]
-    fn byte_budgeted_checkpoint_bounds_the_drain() {
-        let d = QsbrDomain::new();
-        for _ in 0..4 {
-            d.defer_with_bytes(40, || {});
-        }
-        // 100 bytes fit the two oldest entries (80 bytes); the third
-        // would cross the budget.
-        assert_eq!(d.checkpoint_budgeted_bytes(usize::MAX, 100), 2);
-        assert_eq!(d.stats().pending_bytes, 80);
-        // An oversized entry still frees (one-entry slack: progress
-        // is guaranteed).
-        assert_eq!(d.checkpoint_budgeted_bytes(usize::MAX, 1), 1);
-        d.checkpoint();
-        assert_eq!(d.stats().pending_bytes, 0);
     }
 
     #[test]

@@ -85,7 +85,6 @@ pub mod state;
 
 pub use defer_list::{DeferChain, DeferList};
 pub use domain::{DomainStats, QsbrDomain};
-pub use reclaim::AmortizedReclaim;
 pub use record::{DeferGuard, ThreadRecord};
 pub use registry::Registry;
 pub use state::StateEpoch;

@@ -1,6 +1,4 @@
-//! The unified [`Reclaim`] trait implemented natively on [`QsbrDomain`],
-//! plus [`AmortizedReclaim`] — the same protocol with a bounded
-//! per-quiesce drain (DEBRA-style amortization).
+//! The unified [`Reclaim`] trait implemented natively on [`QsbrDomain`].
 //!
 //! * Guard = `()`: QSBR reads are free by construction; `read_lock` only
 //!   guarantees the calling thread participates in the minimum-epoch scan
@@ -9,43 +7,10 @@
 //! * Retire = `QSBR_Defer`: push onto the calling thread's defer list,
 //!   freed at a later quiescence point.
 //! * Quiesce = `QSBR_Checkpoint`: announce quiescence and drain what is
-//!   provably unreachable — everything for [`QsbrDomain`], at most
-//!   `budget` entries for [`AmortizedReclaim`].
+//!   provably unreachable.
 
 use crate::domain::QsbrDomain;
 use rcuarray_reclaim::{PressureConfig, Reclaim, ReclaimStats, Retired};
-
-/// Map a domain's counters into the scheme-neutral stats vocabulary.
-///
-/// QSBR counters live on the shared domain, not per handle, so the stats
-/// are flagged `domain_wide`: merging per-locale clones takes the max
-/// instead of summing the same numbers N times.
-fn domain_stats(domain: &QsbrDomain, name_advances_from_checkpoints: bool) -> ReclaimStats {
-    let s = domain.stats();
-    ReclaimStats {
-        guards: 0,
-        guard_retries: 0,
-        advances: if name_advances_from_checkpoints {
-            s.checkpoints
-        } else {
-            0
-        },
-        retired: s.defers,
-        reclaimed: s.reclaimed,
-        pending: s.pending,
-        pending_bytes: s.pending_bytes,
-        // How far the slowest participant trails the state epoch right
-        // now. Computed registry-side: probing stats must not register
-        // the calling thread as a participant.
-        epoch_lag: domain.state_epoch().saturating_sub(domain.min_observed()),
-        // Cumulative quarantine events: every one is a participant the
-        // domain declared stalled and force-parked.
-        stalled: s.quarantines,
-        // QSBR guards are free tokens; nothing to release on unwind.
-        guard_panics: 0,
-        domain_wide: true,
-    }
-}
 
 impl Reclaim for QsbrDomain {
     type Guard<'a> = ();
@@ -75,114 +40,35 @@ impl Reclaim for QsbrDomain {
         "qsbr"
     }
 
+    /// QSBR counters live on the shared domain, not per handle, so the
+    /// stats are flagged `domain_wide`: merging per-locale clones takes
+    /// the max instead of summing the same numbers N times.
     fn reclaim_stats(&self) -> ReclaimStats {
-        domain_stats(self, true)
+        let s = self.stats();
+        ReclaimStats {
+            guards: 0,
+            guard_retries: 0,
+            advances: s.checkpoints,
+            retired: s.defers,
+            reclaimed: s.reclaimed,
+            pending: s.pending,
+            pending_bytes: s.pending_bytes,
+            // How far the slowest participant trails the state epoch right
+            // now. Computed registry-side: probing stats must not register
+            // the calling thread as a participant.
+            epoch_lag: self.state_epoch().saturating_sub(self.min_observed()),
+            // Cumulative quarantine events: every one is a participant the
+            // domain declared stalled and force-parked.
+            stalled: s.quarantines,
+            // QSBR guards are free tokens; nothing to release on unwind.
+            guard_panics: 0,
+            domain_wide: true,
+        }
     }
 
     #[inline]
     fn pressure(&self) -> PressureConfig {
         self.pressure_config()
-    }
-}
-
-/// QSBR with a bounded per-quiesce drain budget.
-///
-/// A plain QSBR checkpoint pays for the *entire* reclaimable backlog at
-/// once, so a thread that checkpoints rarely takes a latency spike
-/// proportional to how long it deferred. `AmortizedReclaim` caps that
-/// cost: each [`quiesce`](Reclaim::quiesce) frees at most `budget`
-/// entries (the oldest first) totalling at most `byte_budget` bytes,
-/// spreading reclamation across calls — the amortization idea of DEBRA
-/// (Brown, PODC 2015) expressed through the same [`QsbrDomain`]
-/// machinery via [`QsbrDomain::checkpoint_budgeted_bytes`].
-///
-/// The byte budget is what makes the drain compose with
-/// [`PressureConfig`]: both the cap and the drain are denominated in the
-/// same byte hints, so "drain until under the watermark" terminates in a
-/// predictable number of quiesces regardless of entry sizes.
-#[derive(Clone, Debug)]
-pub struct AmortizedReclaim {
-    domain: QsbrDomain,
-    budget: usize,
-    byte_budget: usize,
-}
-
-impl AmortizedReclaim {
-    /// A fresh domain draining at most `budget` entries per quiesce.
-    /// A zero budget is clamped to 1: a quiesce that can never free
-    /// anything would leak by construction.
-    pub fn new(budget: usize) -> Self {
-        Self::with_domain(QsbrDomain::new(), budget)
-    }
-
-    /// Wrap an existing (possibly shared) domain with a drain budget.
-    pub fn with_domain(domain: QsbrDomain, budget: usize) -> Self {
-        Self::with_budgets(domain, budget, usize::MAX)
-    }
-
-    /// Wrap an existing domain with both an entry and a byte budget per
-    /// quiesce. Zero budgets are clamped to 1 / one-entry slack: a
-    /// quiesce that can never free anything would leak by construction.
-    pub fn with_budgets(domain: QsbrDomain, budget: usize, byte_budget: usize) -> Self {
-        AmortizedReclaim {
-            domain,
-            budget: budget.max(1),
-            byte_budget: byte_budget.max(1),
-        }
-    }
-
-    /// The underlying shared domain.
-    pub fn domain(&self) -> &QsbrDomain {
-        &self.domain
-    }
-
-    /// The per-quiesce drain budget, in entries.
-    pub fn budget(&self) -> usize {
-        self.budget
-    }
-
-    /// The per-quiesce drain budget, in bytes (`usize::MAX` = unbounded).
-    pub fn byte_budget(&self) -> usize {
-        self.byte_budget
-    }
-}
-
-impl Reclaim for AmortizedReclaim {
-    type Guard<'a> = ();
-
-    #[inline]
-    fn read_lock(&self) -> Self::Guard<'_> {
-        self.domain.ensure_registered();
-    }
-
-    fn retire(&self, retired: Retired) {
-        let (bytes, run) = retired.into_parts();
-        self.domain.defer_with_bytes(bytes, run);
-    }
-
-    #[inline]
-    fn quiesce(&self) -> usize {
-        self.domain
-            .checkpoint_budgeted_bytes(self.budget, self.byte_budget)
-    }
-
-    #[inline]
-    fn guards_reads(&self) -> bool {
-        false
-    }
-
-    #[inline]
-    fn name(&self) -> &'static str {
-        "amortized"
-    }
-
-    fn reclaim_stats(&self) -> ReclaimStats {
-        domain_stats(&self.domain, true)
-    }
-
-    #[inline]
-    fn pressure(&self) -> PressureConfig {
-        self.domain.pressure_config()
     }
 }
 
@@ -249,70 +135,10 @@ mod tests {
     }
 
     #[test]
-    fn amortized_quiesce_caps_the_drain() {
-        let a = AmortizedReclaim::new(2);
-        let c = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            retire_counting(&a, &c);
-        }
-        assert_eq!(a.quiesce(), 2);
-        assert_eq!(a.quiesce(), 2);
-        assert_eq!(a.quiesce(), 1);
-        assert_eq!(a.quiesce(), 0);
-        assert_eq!(c.load(Ordering::SeqCst), 5, "everything frees eventually");
-        assert_eq!(a.name(), "amortized");
-        assert!(!a.guards_reads());
-    }
-
-    #[test]
-    fn amortized_shares_a_domain_with_plain_qsbr() {
-        let d = QsbrDomain::new();
-        let a = AmortizedReclaim::with_domain(d.clone(), 1);
-        let c = Arc::new(AtomicUsize::new(0));
-        retire_counting(&a, &c);
-        // A full checkpoint through the shared domain drains the entry the
-        // amortized handle retired.
-        assert_eq!(d.checkpoint(), 1);
-        assert_eq!(c.load(Ordering::SeqCst), 1);
-        assert!(a.reclaim_stats().domain_wide);
-        assert_eq!(a.budget(), 1);
-    }
-
-    #[test]
-    fn amortized_zero_budget_is_clamped() {
-        let a = AmortizedReclaim::new(0);
-        assert_eq!(a.budget(), 1, "budget 0 would leak by construction");
-        let c = Arc::new(AtomicUsize::new(0));
-        retire_counting(&a, &c);
-        assert_eq!(a.quiesce(), 1);
-    }
-
-    #[test]
-    fn amortized_byte_budget_bounds_each_quiesce() {
-        let a = AmortizedReclaim::with_budgets(QsbrDomain::new(), usize::MAX, 100);
-        let c = Arc::new(AtomicUsize::new(0));
-        for _ in 0..5 {
-            retire_counting(&a, &c); // 64 bytes each
-        }
-        // 100 bytes fit one 64-byte entry; the second would cross.
-        assert_eq!(a.quiesce(), 1);
-        assert_eq!(a.quiesce(), 1);
-        assert_eq!(a.byte_budget(), 100);
-        while a.quiesce() > 0 {}
-        assert_eq!(c.load(Ordering::SeqCst), 5);
-    }
-
-    #[test]
     fn qsbr_pressure_flows_through_the_trait() {
         let d = QsbrDomain::new();
         d.set_pressure(rcuarray_reclaim::PressureConfig::bounded(256));
         assert_eq!(Reclaim::pressure(&d).max_backlog_bytes, 256);
-        let a = AmortizedReclaim::with_domain(d.clone(), 4);
-        assert_eq!(
-            a.pressure().max_backlog_bytes,
-            256,
-            "shared domain, shared cap"
-        );
     }
 
     #[test]

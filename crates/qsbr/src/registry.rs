@@ -111,27 +111,6 @@ impl Registry {
     /// Reclaim every orphaned chain whose epochs are all `<= min_epoch`.
     /// Returns `(entries freed, approximate bytes freed)`.
     pub fn reclaim_orphans(&self, min_epoch: u64) -> (usize, usize) {
-        self.reclaim_orphans_budgeted(min_epoch, usize::MAX)
-    }
-
-    /// [`reclaim_orphans`](Self::reclaim_orphans) with a bounded drain:
-    /// eligible chains are reclaimed whole, one at a time, only while
-    /// fewer than `budget` entries have been freed — so the overshoot is
-    /// at most the last chain's length, not the whole orphan backlog.
-    pub fn reclaim_orphans_budgeted(&self, min_epoch: u64, budget: usize) -> (usize, usize) {
-        self.reclaim_orphans_budgeted_bytes(min_epoch, budget, usize::MAX)
-    }
-
-    /// [`reclaim_orphans_budgeted`](Self::reclaim_orphans_budgeted) with an
-    /// additional *byte* budget: chains stop draining once either
-    /// `budget` entries or `byte_budget` bytes have been freed (the last
-    /// chain may overshoot both by its own size).
-    pub fn reclaim_orphans_budgeted_bytes(
-        &self,
-        min_epoch: u64,
-        budget: usize,
-        byte_budget: usize,
-    ) -> (usize, usize) {
         // try_lock: orphan reclamation is best-effort housekeeping; a
         // contended checkpoint should not serialize on it.
         let Some(mut orphans) = self.orphans.try_lock() else {
@@ -140,7 +119,7 @@ impl Registry {
         let mut freed = 0;
         let mut freed_bytes = 0;
         orphans.retain_mut(|o| {
-            if freed >= budget || freed_bytes >= byte_budget || o.max_epoch > min_epoch {
+            if o.max_epoch > min_epoch {
                 return true;
             }
             let chain = std::mem::replace(&mut o.chain, DeferChain::empty());
@@ -317,32 +296,11 @@ mod tests {
     fn orphans_respect_min_epoch() {
         let reg = Registry::new();
         let mut list = DeferList::new();
-        list.push(7, || {});
+        list.push_with_bytes(7, 100, || {});
         reg.adopt(list.take_all());
         assert_eq!(reg.reclaim_orphans(6), (0, 0), "min below chain epoch");
         assert_eq!(reg.num_orphans(), 1);
-        assert_eq!(reg.reclaim_orphans(7), (1, 0));
-    }
-
-    #[test]
-    fn budgeted_orphan_reclaim_stops_between_chains() {
-        let reg = Registry::new();
-        // Three eligible single-entry chains.
-        for _ in 0..3 {
-            let mut list = DeferList::new();
-            list.push(1, || {});
-            reg.adopt(list.take_all());
-        }
-        assert_eq!(reg.num_orphans(), 3);
-        // Budget 1: exactly one chain drains; the others wait.
-        assert_eq!(reg.reclaim_orphans_budgeted(1, 1), (1, 0));
-        assert_eq!(reg.num_orphans(), 2);
-        // Budget 0 frees nothing.
-        assert_eq!(reg.reclaim_orphans_budgeted(1, 0), (0, 0));
-        assert_eq!(reg.num_orphans(), 2);
-        // Unbudgeted drains the rest.
-        assert_eq!(reg.reclaim_orphans(1), (2, 0));
-        assert_eq!(reg.num_orphans(), 0);
+        assert_eq!(reg.reclaim_orphans(7), (1, 100), "bytes follow the chain");
     }
 
     #[test]
@@ -422,24 +380,6 @@ mod tests {
         assert_eq!(reg.num_quarantined(), 1);
         reg.unregister(&r);
         assert_eq!(reg.num_quarantined(), 0);
-    }
-
-    #[test]
-    fn byte_budgeted_orphan_reclaim_stops_at_the_byte_cap() {
-        let reg = Registry::new();
-        for _ in 0..3 {
-            let mut list = DeferList::new();
-            list.push_with_bytes(1, 100, || {});
-            reg.adopt(list.take_all());
-        }
-        // 100-byte chains against a 150-byte budget: the first chain
-        // drains, its 100 bytes stand, the second would cross — but the
-        // cut is per chain, so exactly two chains fit before `>= 150`.
-        let (n, b) = reg.reclaim_orphans_budgeted_bytes(1, usize::MAX, 150);
-        assert_eq!((n, b), (2, 200), "second chain overshoots, third waits");
-        assert_eq!(reg.num_orphans(), 1);
-        let (n, b) = reg.reclaim_orphans_budgeted_bytes(1, usize::MAX, usize::MAX);
-        assert_eq!((n, b), (1, 100));
     }
 
     #[test]

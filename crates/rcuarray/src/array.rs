@@ -26,7 +26,7 @@ use crate::element::Element;
 use crate::handle::LocaleState;
 use crate::iter::Iter;
 use crate::placement::PlacementMap;
-use crate::scheme::{AmortizedScheme, EbrScheme, LeakScheme, QsbrScheme, Scheme};
+use crate::scheme::{EbrScheme, LeakScheme, QsbrScheme, Scheme};
 use crate::snapshot::{reclaim_box, Snapshot};
 use crate::stats::ArrayStats;
 use rcuarray_analysis::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -93,10 +93,6 @@ pub type QsbrArray<T> = RcuArray<T, QsbrScheme>;
 /// An RCUArray that never reclaims: the `UnsafeArray` upper bound through
 /// the identical `RcuArray` code path (measurement/harness only — leaks).
 pub type LeakArray<T> = RcuArray<T, LeakScheme>;
-
-/// An RCUArray using QSBR with a bounded per-checkpoint drain
-/// ([`Config::drain_budget`], DEBRA-style amortization).
-pub type AmortizedArray<T> = RcuArray<T, AmortizedScheme>;
 
 /// Moves a snapshot pointer into a deferred reclamation closure.
 struct SendSnap<T: Element>(NonNull<Snapshot<T>>);
@@ -212,7 +208,8 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         &self.shared.config
     }
 
-    /// The reclamation scheme name ("ebr", "qsbr", "leak", "amortized").
+    /// The reclamation scheme name ("ebr", "qsbr", "leak", or an
+    /// out-of-crate scheme's own name).
     pub fn scheme_name(&self) -> &'static str {
         S::NAME
     }
@@ -243,7 +240,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     }
 
     /// The QSBR domain backing this array, for schemes built on one
-    /// (`QsbrScheme`, `AmortizedScheme`); `None` otherwise. Exposed so
+    /// (`QsbrScheme`); `None` otherwise. Exposed so
     /// applications can park/unpark worker threads around idle periods.
     pub fn qsbr_domain(&self) -> Option<&QsbrDomain> {
         self.shared.scheme.domain()
@@ -464,10 +461,10 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     }
 
     /// Retire a just-unlinked snapshot through the scheme's [`Reclaim`]
-    /// engine (Algorithm 3 lines 21–27): QSBR-family schemes defer to
-    /// their domain, EBR advances the locale's epoch and drains its
-    /// readers before freeing, the leak scheme drops the request on the
-    /// floor. The array does not know or care which.
+    /// engine (Algorithm 3 lines 21–27): QSBR defers to its domain, EBR
+    /// advances the locale's epoch and drains its readers before freeing,
+    /// the leak scheme drops the request on the floor. The array does not
+    /// know or care which.
     ///
     /// Under a bounded [`Config::pressure`] the retire is pressure-aware:
     /// past the watermark the publishing task helps reclaim, and at the
@@ -724,6 +721,10 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             self.shared.write_lock.acquire()
         };
 
+        // Capacity only changes under the write lock, so this sum is the
+        // one published below. Checked before anything is allocated.
+        let new_cap = self.capacity().checked_add(add).expect("capacity overflow");
+
         // Armed from here on: any early return or unwind below rolls back
         // partially-published locales and counts an aborted resize. Must
         // be declared *after* `guard` so it drops (and republishes) while
@@ -809,7 +810,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
 
         // Line 28: persist the round-robin cursor.
         self.shared.placement.commit_cursor(&plan);
-        let new_cap = self.shared.capacity.fetch_add(add, Ordering::AcqRel) + add;
+        self.shared.capacity.store(new_cap, Ordering::Release);
         self.shared.resizes.add(1);
         drop(guard); // line 29
                      // Every in-view locale's clone recycled the old snapshot's prefix.
@@ -846,7 +847,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         let keep_blocks = new_capacity.div_ceil(bs);
         let guard = self.shared.write_lock.acquire();
         let current = self.shared.capacity.load(Ordering::Acquire);
-        let target = (keep_blocks * bs).min(current);
+        let target = keep_blocks.saturating_mul(bs).min(current);
         if target >= current {
             drop(guard);
             return current;
@@ -987,8 +988,8 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     }
 
     /// Announce a quiescent state for the calling thread (a QSBR
-    /// checkpoint; bounded drain under the amortized scheme; a no-op for
-    /// schemes that never defer). Returns deferred reclamations run.
+    /// checkpoint that frees every entry now safe; a no-op for schemes
+    /// that never defer). Returns deferred reclamations run.
     ///
     /// Under replication the checkpoint also drains the replica-write
     /// lag ledger — "bounded replica lag drained at QSBR checkpoints"
@@ -1242,7 +1243,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     ///
     /// Per-locale reclamation counters are folded through
     /// [`ReclaimStats::merge`]: per-locale engines (EBR, leak) sum, while
-    /// clones of one shared domain (QSBR family) max — the domain's
+    /// clones of one shared domain (QSBR) max — the domain's
     /// numbers are reported once, not once per locale.
     pub fn stats(&self) -> ArrayStats {
         let mut reclaim = ReclaimStats::default();
@@ -1380,8 +1381,6 @@ mod tests {
         test(&move || Box::new(EbrArray::<u64>::with_config(&ce, small_config())));
         let cl = Arc::clone(&c);
         test(&move || Box::new(LeakArray::<u64>::with_config(&cl, small_config())));
-        let ca = Arc::clone(&c);
-        test(&move || Box::new(AmortizedArray::<u64>::with_config(&ca, small_config())));
     }
 
     /// Object-safe view for scheme-generic tests.
@@ -1444,6 +1443,36 @@ mod tests {
         assert_eq!(a.resize(1), 8, "1 element rounds to a full block");
         assert_eq!(a.resize(9), 24, "9 more rounds to 2 blocks");
         assert_eq!(a.num_blocks(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "capacity overflow")]
+    fn resize_rounding_past_usize_max_panics() {
+        let c = cluster(2);
+        let a: EbrArray<u64> = RcuArray::with_config(&c, Config::default());
+        // usize::MAX rounds up to 2^54 blocks of 1024: 2^64 elements.
+        a.resize(usize::MAX);
+    }
+
+    #[test]
+    fn resize_summing_past_usize_max_panics_and_leaves_the_array_usable() {
+        let c = cluster(2);
+        let a: EbrArray<u64> = RcuArray::with_config(&c, small_config());
+        assert_eq!(a.resize(16), 16);
+        // Rounds to a block multiple without overflow; the sum overflows.
+        let huge = usize::MAX - 15;
+        let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.resize(huge)));
+        let payload = died.expect_err("capacity + add overflowed silently");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(msg.contains("capacity overflow"), "{msg}");
+        // The write lock was released and nothing was published.
+        assert_eq!(a.capacity(), 16);
+        assert_eq!(a.resize(8), 24);
+        assert_eq!(a.truncate(usize::MAX), 24, "huge truncate is a no-op");
     }
 
     #[test]
@@ -1621,36 +1650,6 @@ mod tests {
         assert!(s.pending_bytes > 0);
         assert!(a.qsbr_domain().is_none());
         assert_eq!(a.scheme_name(), "leak");
-    }
-
-    #[test]
-    fn amortized_array_drains_across_checkpoints() {
-        let c = cluster(2);
-        let cfg = Config {
-            drain_budget: 1,
-            ..small_config()
-        };
-        let a: AmortizedArray<u64> = RcuArray::with_config(&c, cfg);
-        for _ in 0..4 {
-            a.resize(8);
-        }
-        assert_eq!(a.scheme_name(), "amortized");
-        assert!(a.qsbr_domain().is_some(), "amortized is QSBR underneath");
-        // Resize tasks exited, so their deferred snapshots arrive as
-        // orphan chains (freed whole); repeated budgeted checkpoints must
-        // eventually drain everything.
-        for _ in 0..1000 {
-            a.checkpoint();
-            if a.stats().reclaim.pending == 0 {
-                break;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(a.stats().reclaim.pending, 0);
-        assert_eq!(a.stats().reclaim.reclaimed, 8);
-        // The array stays fully usable afterwards.
-        a.write(20, 11);
-        assert_eq!(a.read(20), 11);
     }
 
     #[test]

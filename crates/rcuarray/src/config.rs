@@ -1,7 +1,6 @@
-//! Array configuration: block size, EBR protocol ordering, accounting,
-//! retry policy.
+//! Array configuration: block size, accounting, retry policy,
+//! reclamation robustness, replication.
 
-use rcuarray_ebr::OrderingMode;
 use rcuarray_reclaim::{PressureConfig, StallPolicy};
 use rcuarray_runtime::RetryPolicy;
 
@@ -14,8 +13,6 @@ pub const DEFAULT_BLOCK_SIZE: usize = 1024;
 pub struct Config {
     /// Elements per block (`BlockSize` in Listing 1).
     pub block_size: usize,
-    /// Memory ordering of the EBR reader protocol (ignored under QSBR).
-    pub ordering: OrderingMode,
     /// Whether element accesses are charged through the cluster's
     /// communication layer. Accounting costs one relaxed counter update
     /// per access, identical across all array variants; disable it only
@@ -25,11 +22,6 @@ pub struct Config {
     /// `read`/`write`/`resize` only when the cluster's fault plan is
     /// enabled; a healthy cluster never enters the retry path).
     pub retry: RetryPolicy,
-    /// Maximum deferred reclamations executed per quiescence point under
-    /// the amortized scheme (`AmortizedScheme`); other schemes ignore it.
-    /// Bounds the latency spike a rarely-quiescing thread pays for its
-    /// backlog (DEBRA-style amortization).
-    pub drain_budget: usize,
     /// Memory bound on the reclamation backlog (DESIGN.md §9). Unbounded
     /// by default; with a bound installed, resizes past the high
     /// watermark help reclaim, and past the byte cap they refuse with
@@ -37,7 +29,7 @@ pub struct Config {
     pub pressure: PressureConfig,
     /// Stalled-reader detection (DESIGN.md §9). Disabled by default;
     /// with a policy installed, a reader that lags the reclamation
-    /// protocol beyond the bound is quarantined (QSBR family) or routed
+    /// protocol beyond the bound is quarantined (QSBR) or routed
     /// around via evacuation (EBR) so it cannot wedge reclamation.
     pub stall: StallPolicy,
     /// Copies of every block, including the primary (DESIGN.md §15).
@@ -52,19 +44,12 @@ pub struct Config {
     pub replication_factor: usize,
 }
 
-/// Default per-quiesce drain budget for `AmortizedScheme`: large enough
-/// that steady-state workloads drain as fast as they defer, small enough
-/// to bound a cold checkpoint's latency.
-pub const DEFAULT_DRAIN_BUDGET: usize = 64;
-
 impl Default for Config {
     fn default() -> Self {
         Config {
             block_size: DEFAULT_BLOCK_SIZE,
-            ordering: OrderingMode::SeqCst,
             account_comm: true,
             retry: RetryPolicy::default(),
-            drain_budget: DEFAULT_DRAIN_BUDGET,
             pressure: PressureConfig::unbounded(),
             stall: StallPolicy::disabled(),
             replication_factor: 1,
@@ -81,19 +66,10 @@ impl Config {
         }
     }
 
-    /// Validate invariants (positive block size, sound ordering).
+    /// Validate invariants (positive block size, sound backlog bound,
+    /// at least one copy of every block).
     pub fn validate(&self) {
         assert!(self.block_size > 0, "block_size must be positive");
-        assert!(
-            self.ordering.is_sound(),
-            "the relaxed ordering mode is measurement-only and cannot \
-             protect reclamation"
-        );
-        assert!(
-            self.drain_budget > 0,
-            "drain_budget must be positive: a quiesce that can never free \
-             anything would leak by construction"
-        );
         self.pressure.validate();
         assert!(
             self.replication_factor >= 1,
@@ -105,8 +81,16 @@ impl Config {
     /// Round an element count up to a whole number of blocks, in elements.
     /// The paper covers "only expansion by multiples of BlockSize"
     /// (footnote 12); this library rounds other requests up.
+    ///
+    /// # Panics
+    /// Panics with "capacity overflow" when the rounded count exceeds
+    /// `usize::MAX`, in every build profile (the `Vec::reserve`
+    /// convention).
     pub fn round_up_to_blocks(&self, elements: usize) -> usize {
-        elements.div_ceil(self.block_size) * self.block_size
+        elements
+            .div_ceil(self.block_size)
+            .checked_mul(self.block_size)
+            .expect("capacity overflow")
     }
 }
 
@@ -118,9 +102,7 @@ mod tests {
     fn default_matches_paper() {
         let c = Config::default();
         assert_eq!(c.block_size, 1024);
-        assert_eq!(c.ordering, OrderingMode::SeqCst);
         assert!(c.account_comm);
-        assert_eq!(c.drain_budget, DEFAULT_DRAIN_BUDGET);
         assert!(!c.pressure.is_bounded(), "unbounded backlog by default");
         assert!(!c.stall.detects_lag(), "stall detection off by default");
         c.validate();
@@ -134,16 +116,6 @@ mod tests {
                 max_backlog_bytes: 100,
                 high_watermark: 200,
             },
-            ..Config::default()
-        };
-        c.validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "drain_budget")]
-    fn zero_drain_budget_rejected() {
-        let c = Config {
-            drain_budget: 0,
             ..Config::default()
         };
         c.validate();
@@ -173,15 +145,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_block_size_rejected() {
         Config::with_block_size(0).validate();
-    }
-
-    #[test]
-    #[should_panic(expected = "measurement-only")]
-    fn relaxed_ordering_rejected() {
-        let c = Config {
-            ordering: OrderingMode::Relaxed,
-            ..Config::default()
-        };
-        c.validate();
     }
 }

@@ -114,10 +114,10 @@ mod tests {
     use super::*;
     use crate::block::{Block, BlockRegistry};
     use crate::snapshot::reclaim_box;
-    use rcuarray_ebr::{EpochZone, OrderingMode};
+    use rcuarray_ebr::EpochZone;
 
     fn state(locale: LocaleId) -> LocaleState<u64, EpochZone> {
-        LocaleState::new(locale, EpochZone::with_mode(OrderingMode::SeqCst))
+        LocaleState::new(locale, EpochZone::new())
     }
 
     #[test]
@@ -150,8 +150,7 @@ mod tests {
         // Run under the test harness; a leak would show in sanitizers and
         // the double-free would crash. The structural assertion is that
         // drop works after multiple publishes.
-        let st: LocaleState<u32, EpochZone> =
-            LocaleState::new(LocaleId::ZERO, EpochZone::with_mode(OrderingMode::SeqCst));
+        let st: LocaleState<u32, EpochZone> = LocaleState::new(LocaleId::ZERO, EpochZone::new());
         let reg = BlockRegistry::new();
         for v in 1..=3u64 {
             let b = reg.adopt(Block::new(LocaleId::ZERO, 2));

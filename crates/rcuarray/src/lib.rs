@@ -25,8 +25,7 @@
 //!   [`QsbrArray`] uses runtime-style quiescent-state-based reclamation
 //!   (crate `rcuarray-qsbr`) and gives readers *zero* synchronization
 //!   overhead at the price of explicit [`RcuArray::checkpoint`] calls;
-//!   [`AmortizedArray`] bounds each checkpoint's drain
-//!   ([`Config::drain_budget`]); [`LeakArray`] never reclaims — the
+//!   [`LeakArray`] never reclaims — the
 //!   `UnsafeArray` upper bound through the identical code path, for
 //!   measurement only.
 //!
@@ -67,14 +66,14 @@ pub mod scheme;
 pub mod snapshot;
 pub mod stats;
 
-pub use array::{AmortizedArray, EbrArray, LeakArray, QsbrArray, RcuArray, SnapshotView};
+pub use array::{EbrArray, LeakArray, QsbrArray, RcuArray, SnapshotView};
 pub use block::{Block, BlockRef, BlockRegistry};
-pub use config::{Config, DEFAULT_BLOCK_SIZE, DEFAULT_DRAIN_BUDGET};
+pub use config::{Config, DEFAULT_BLOCK_SIZE};
 pub use elem_ref::ElemRef;
 pub use element::Element;
 pub use iter::Iter;
 pub use placement::{BlockGroup, PlacementMap, PlacementPlan};
-pub use scheme::{AmortizedScheme, EbrScheme, LeakScheme, QsbrScheme, Scheme};
+pub use scheme::{EbrScheme, LeakScheme, QsbrScheme, Scheme};
 pub use snapshot::Snapshot;
 pub use stats::ArrayStats;
 

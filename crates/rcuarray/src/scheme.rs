@@ -9,15 +9,14 @@
 //! branched on. That couples the array to every scheme it will ever
 //! support. A [`Scheme`] is now a factory for [`Reclaim`] engines: the
 //! array calls `protect`/`retire`/`quiesce` and never branches, so new
-//! schemes ([`LeakScheme`], [`AmortizedScheme`], or the out-of-crate
-//! `HazardScheme` in `rcuarray-baselines`) plug in with **zero** changes
-//! to `array.rs`.
+//! schemes ([`LeakScheme`], or the out-of-crate `HazardScheme` in
+//! `rcuarray-baselines`) plug in with **zero** changes to `array.rs`.
 //! The compiler still resolves everything statically — `S::Reclaim` is a
 //! concrete type, exactly like Chapel's `param` specialization.
 
 use crate::config::Config;
-use rcuarray_ebr::{EpochZone, OrderingMode};
-use rcuarray_qsbr::{AmortizedReclaim, QsbrDomain};
+use rcuarray_ebr::EpochZone;
+use rcuarray_qsbr::QsbrDomain;
 use rcuarray_reclaim::{LeakReclaim, PressureConfig, Reclaim, StallPolicy};
 
 /// A reclamation scheme: cluster-wide shared state plus a factory for the
@@ -25,7 +24,7 @@ use rcuarray_reclaim::{LeakReclaim, PressureConfig, Reclaim, StallPolicy};
 ///
 /// Implementations decide the sharing topology themselves: EBR builds an
 /// independent [`EpochZone`] per locale (node-local reader counters,
-/// §III-D), while the QSBR-family schemes hand every locale a clone of
+/// §III-D), while the QSBR scheme hands every locale a clone of
 /// one shared [`QsbrDomain`] (reclamation is a runtime-wide service,
 /// §III-B).
 pub trait Scheme: Send + Sync + Sized + 'static {
@@ -53,7 +52,6 @@ pub trait Scheme: Send + Sync + Sized + 'static {
 /// synchronously (the paper's `EBRArray`).
 #[derive(Debug)]
 pub struct EbrScheme {
-    ordering: OrderingMode,
     pressure: PressureConfig,
     stall: StallPolicy,
 }
@@ -64,7 +62,6 @@ impl Scheme for EbrScheme {
 
     fn new_shared(config: &Config) -> Self {
         EbrScheme {
-            ordering: config.ordering,
             pressure: config.pressure,
             stall: config.stall,
         }
@@ -74,7 +71,7 @@ impl Scheme for EbrScheme {
         // Each locale gets its own zone: reader traffic stays node-local.
         // Robustness knobs are per-zone: the bound applies to each
         // locale's evacuation backlog independently.
-        let zone = EpochZone::with_mode(self.ordering);
+        let zone = EpochZone::new();
         zone.set_stall_policy(self.stall);
         zone.set_pressure(self.pressure);
         zone
@@ -143,39 +140,6 @@ impl Scheme for LeakScheme {
     }
 }
 
-/// QSBR with a bounded per-checkpoint drain ([`Config::drain_budget`]):
-/// each quiescence point frees at most `drain_budget` snapshots, oldest
-/// first, spreading reclamation cost across checkpoints (DEBRA-style
-/// amortization) instead of paying for the whole backlog at once.
-#[derive(Debug)]
-pub struct AmortizedScheme {
-    domain: QsbrDomain,
-    budget: usize,
-}
-
-impl Scheme for AmortizedScheme {
-    type Reclaim = AmortizedReclaim;
-    const NAME: &'static str = "amortized";
-
-    fn new_shared(config: &Config) -> Self {
-        let domain = QsbrDomain::new();
-        domain.set_stall_policy(config.stall);
-        domain.set_pressure(config.pressure);
-        AmortizedScheme {
-            domain,
-            budget: config.drain_budget,
-        }
-    }
-
-    fn reclaimer(&self) -> AmortizedReclaim {
-        AmortizedReclaim::with_domain(self.domain.clone(), self.budget)
-    }
-
-    fn domain(&self) -> Option<&QsbrDomain> {
-        Some(&self.domain)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,21 +154,13 @@ mod tests {
         assert_eq!(QsbrScheme::new_shared(&cfg).reclaimer().name(), "qsbr");
         assert_eq!(LeakScheme::NAME, "leak");
         assert_eq!(LeakScheme::new_shared(&cfg).reclaimer().name(), "leak");
-        assert_eq!(AmortizedScheme::NAME, "amortized");
-        assert_eq!(
-            AmortizedScheme::new_shared(&cfg).reclaimer().name(),
-            "amortized"
-        );
     }
 
     #[test]
-    fn qsbr_family_reclaimers_share_their_scheme_domain() {
+    fn qsbr_reclaimers_share_their_scheme_domain() {
         let cfg = Config::default();
         let q = QsbrScheme::new_shared(&cfg);
         assert_eq!(q.reclaimer().id(), q.domain().unwrap().id());
-        let a = AmortizedScheme::new_shared(&cfg);
-        assert_eq!(a.reclaimer().domain().id(), a.domain().unwrap().id());
-        assert_eq!(a.reclaimer().budget(), cfg.drain_budget);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub struct ArrayStats {
     /// Reclamation counters in the scheme-neutral vocabulary, folded over
     /// every locale's engine with [`ReclaimStats::merge`]: per-locale
     /// engines (EBR zones, leak counters) sum; clones of one shared
-    /// domain (QSBR family) report the domain's numbers once.
+    /// domain (QSBR) report the domain's numbers once.
     pub reclaim: ReclaimStats,
     /// Cluster communication counters at the time of the call.
     pub comm: CommStats,

@@ -12,12 +12,11 @@
 //! consume this one interface; `rcuarray-ebr` and `rcuarray-qsbr`
 //! implement it natively on `EpochZone` and `QsbrDomain`.
 //!
-//! Three further schemes prove the seam is real without touching any
+//! Two further schemes prove the seam is real without touching any
 //! consumer: [`LeakReclaim`] (defined here — no-op guards, never frees,
-//! the honest upper bound the paper's UnsafeArray plays), the amortized
-//! QSBR variant in `rcuarray-qsbr` (DEBRA-style bounded drain per
-//! checkpoint) and `HazardDomain` in `rcuarray-baselines` (Michael's
-//! hazard pointers, which override [`protect`](Reclaim::protect)).
+//! the honest upper bound the paper's UnsafeArray plays) and
+//! `HazardDomain` in `rcuarray-baselines` (Michael's hazard pointers,
+//! which override [`protect`](Reclaim::protect)).
 //!
 //! ## The contract
 //!
@@ -394,7 +393,7 @@ pub struct ReclaimStats {
     /// `state_epoch - min_observed`; zero for synchronous schemes).
     pub epoch_lag: u64,
     /// Stall events the scheme has observed: quarantined participants for
-    /// QSBR-family schemes, writer waits that hit the stall bound for EBR.
+    /// QSBR, writer waits that hit the stall bound for EBR.
     pub stalled: u64,
     /// Guards released while their thread was unwinding from a panic.
     pub guard_panics: u64,

@@ -33,12 +33,12 @@ pub use rcuarray_service;
 /// Convenience prelude for examples and tests.
 pub mod prelude {
     pub use rcuarray::{
-        AmortizedArray, Backpressure, Config, EbrArray, ElemRef, Element, LeakArray,
-        PressureConfig, QsbrArray, RcuArray, ReclaimStats, Scheme, StallPolicy, DEFAULT_BLOCK_SIZE,
+        Backpressure, Config, EbrArray, ElemRef, Element, LeakArray, PressureConfig, QsbrArray,
+        RcuArray, ReclaimStats, Scheme, StallPolicy, DEFAULT_BLOCK_SIZE,
     };
     pub use rcuarray_baselines::{HazardArray, HazardScheme, SyncArray, UnsafeArray};
     pub use rcuarray_collections::{DistTable, DistVector};
-    pub use rcuarray_ebr::{EpochGuard, EpochZone, OrderingMode};
+    pub use rcuarray_ebr::{EpochGuard, EpochZone};
     pub use rcuarray_qsbr::QsbrDomain;
     pub use rcuarray_reclaim::{RcuPtr, Reclaim};
     pub use rcuarray_runtime::{

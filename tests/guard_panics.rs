@@ -55,11 +55,6 @@ fn qsbr_guard_panic_releases_registration() {
 }
 
 #[test]
-fn amortized_guard_panic_releases_registration() {
-    panicking_pinned_reader_recovers::<rcuarray::AmortizedScheme>();
-}
-
-#[test]
 fn leak_guard_panic_is_harmless() {
     panicking_pinned_reader_recovers::<rcuarray::LeakScheme>();
 }

@@ -10,33 +10,37 @@ use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Lemma 4: the defer list is sorted by safe epoch in descending order,
-// and pop_less_equal splits exactly at the boundary.
+// and pop_less_equal splits exactly at the boundary, carrying the cut
+// entries' byte hints (what feeds QSBR's reclaimed/pending bytes).
 // ---------------------------------------------------------------------
 proptest! {
     #[test]
     fn defer_list_matches_model(
-        increments in prop::collection::vec(0u64..5, 1..80),
+        pushes in prop::collection::vec((0u64..5, 0usize..4096), 1..80),
         min_offsets in prop::collection::vec(0u64..10, 1..8),
     ) {
         let mut list = DeferList::new();
-        let mut model: Vec<u64> = Vec::new();
+        let mut model: Vec<(u64, usize)> = Vec::new();
         let mut epoch = 0u64;
-        for inc in increments {
+        for (inc, bytes) in pushes {
             epoch += inc; // non-decreasing, like StateEpoch-derived epochs
-            list.push(epoch, || {});
-            model.push(epoch);
+            list.push_with_bytes(epoch, bytes, || {});
+            model.push((epoch, bytes));
         }
         // Descending from head (Lemma 4).
         let epochs = list.epochs();
         prop_assert!(epochs.windows(2).all(|w| w[0] >= w[1]));
+        prop_assert_eq!(list.bytes(), model.iter().map(|&(_, b)| b).sum::<usize>());
 
         for off in min_offsets {
             let min = epoch.saturating_sub(off * 3);
-            let expect_cut = model.iter().filter(|&&e| e <= min).count();
+            let (cut, kept): (Vec<_>, Vec<_>) = model.iter().partition(|&&(e, _)| e <= min);
             let chain = list.pop_less_equal(min);
-            prop_assert_eq!(chain.len(), expect_cut);
-            model.retain(|&e| e > min);
+            prop_assert_eq!(chain.len(), cut.len());
+            prop_assert_eq!(chain.bytes(), cut.iter().map(|&(_, b)| b).sum::<usize>());
+            model = kept;
             prop_assert_eq!(list.len(), model.len());
+            prop_assert_eq!(list.bytes(), model.iter().map(|&(_, b)| b).sum::<usize>());
             let epochs = list.epochs();
             prop_assert!(epochs.windows(2).all(|w| w[0] >= w[1]));
         }

@@ -117,52 +117,6 @@ fn stalled_qsbr_reader_is_quarantined_and_backlog_stays_bounded() {
     );
 }
 
-/// The amortized scheme runs the same quarantine protocol while paying
-/// for the backlog a bounded slice per checkpoint.
-#[test]
-fn amortized_scheme_quarantines_stalled_reader_and_still_drains() {
-    let c = cluster(2);
-    let cfg = Config {
-        drain_budget: 2,
-        ..bounded_cfg(CAP_BYTES, StallPolicy::after(1, 2))
-    };
-    let a: Arc<AmortizedArray<u64>> = Arc::new(AmortizedArray::with_config(&c, cfg));
-    a.resize(8);
-    a.write(0, 3);
-
-    let (ready_tx, ready_rx) = mpsc::channel();
-    let (done_tx, done_rx) = mpsc::channel::<()>();
-    let staller = {
-        let a = Arc::clone(&a);
-        std::thread::spawn(move || {
-            assert_eq!(a.read(0), 3);
-            ready_tx.send(()).unwrap();
-            done_rx.recv().unwrap();
-        })
-    };
-    ready_rx.recv().unwrap();
-
-    for _ in 0..40 {
-        a.resize(8);
-        a.checkpoint();
-        assert!(
-            a.stats().reclaim.pending_bytes <= CAP_BYTES,
-            "amortized backlog exceeded its cap"
-        );
-        assert_eq!(a.read(0), 3);
-    }
-    assert!(
-        a.qsbr_domain().unwrap().stats().quarantines >= 1,
-        "amortized domain never quarantined the staller"
-    );
-    // Budgeted checkpoints still drain to zero — just over more calls.
-    assert!(drain(&a), "amortized backlog failed to drain");
-
-    done_tx.send(()).unwrap();
-    staller.join().unwrap();
-    assert!(drain(&a));
-}
-
 /// EBR has no checkpoint to miss, so a stalled reader is a guard held
 /// forever. Writers must evacuate retirements instead of spinning, then
 /// refuse growth with `CommError::Backpressure` once the evacuation list
