@@ -1346,7 +1346,7 @@ pub struct Config {
     /// prefix would exceed this many preemptions (a context switch away
     /// from a still-enabled thread). `None` explores without a bound;
     /// with a bound the exploration is knowingly incomplete and the
-    /// skipped branches are counted in [`DporReport::pruned`].
+    /// skipped branches are counted in [`DporReport::pruned`](crate::dpor::DporReport::pruned).
     pub preemption_bound: Option<usize>,
 }
 

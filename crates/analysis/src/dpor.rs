@@ -34,7 +34,7 @@
 //! An optional preemption bound skips branches whose forced prefix would
 //! exceed the bound; skipped branches are counted, never silently lost.
 //!
-//! Failing schedules are shrunk by [`minimize`] (shortest failing prefix
+//! Failing schedules are shrunk by `minimize` (shortest failing prefix
 //! by bisection, then ddmin-style chunk deletion, every candidate
 //! re-validated by a forced replay) and serialized with
 //! [`serialize_schedule`] into the form [`Checker::replay`] accepts.

@@ -106,7 +106,7 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/baselines/",
     "crates/collections/",
     // Comm/fault counters in the simulated runtime (not migrated; the
-    // migrated sync_var.rs / global_lock.rs get narrow entries below).
+    // migrated global_lock.rs gets a narrow entry below).
     "crates/runtime/src/comm.rs",
     "crates/runtime/src/fault.rs",
     // Round-robin placement hint: the counter only steers which locale
@@ -118,9 +118,8 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // mutex behind the facade. Test-module counters are lock-protected.
     "crates/runtime/src/global_lock.rs",
     // Test-module counters: coforall/forall visit counts (joined before
-    // asserting) and a lock-protected read-modify-write in sync_var.
+    // asserting).
     "crates/runtime/src/lib.rs",
-    "crates/runtime/src/sync_var.rs",
     // debug_assert sanity load directly before the Release store that
     // actually publishes the checkpoint.
     "crates/qsbr/src/record.rs",

@@ -26,9 +26,9 @@
 //!
 //! 1. Each entry carries a checker location id, and reclamation is a
 //!    **write-kind scheduling step** on that location
-//!    ([`checker::shadow_write_step`]) while tracked accesses are
+//!    (`checker::shadow_write_step`) while tracked accesses are
 //!    read/write steps on the same location
-//!    ([`checker::data_access_validated`]). The DPOR dependence relation
+//!    (`checker::data_access_validated`). The DPOR dependence relation
 //!    therefore *sees* reader-vs-destructor conflicts and is forced to
 //!    explore both orders — an untracked free would look independent and
 //!    the fatal interleaving could be pruned as redundant.
@@ -36,7 +36,7 @@
 //!    reclamation can never slip between "check the table" and "do the
 //!    access".
 //!
-//! Sessions: [`begin_session`]/[`end_session`] (called by the checker
+//! Sessions: `begin_session`/`end_session` (called by the checker
 //! around every execution) stamp entries allocated by in-session threads
 //! with an epoch; at session end, epoch entries still `Retired` are
 //! reported as leaks (their destructor never ran) and the epoch's

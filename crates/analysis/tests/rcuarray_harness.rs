@@ -24,11 +24,7 @@ use rcuarray_runtime::{Cluster, Topology};
 use std::sync::Arc;
 
 fn small_config() -> ArrayConfig {
-    ArrayConfig {
-        block_size: 2,
-        account_comm: false,
-        ..ArrayConfig::default()
-    }
+    ArrayConfig::with_block_size(2)
 }
 
 /// The paper's core scenario — a reader fully concurrent with a resize —

@@ -4,43 +4,31 @@
 //! is unable to allow concurrent resize operations and so a safer variant
 //! is defined that uses mutual exclusion via sync variables" (§V).
 //!
-//! Every operation — reads included — acquires one cluster-wide
-//! full/empty sync-variable lock homed on locale 0. This is what makes it
-//! "the slowest of all where not only does it not scale due to mutual
-//! exclusion, but also degrades in performance due to the increasing
-//! number of remote tasks that must contest for the same lock" (§V-A):
-//! the comm layer charges every remote task a round trip per acquisition.
+//! The sync variable serves only as a mutex, so every operation — reads
+//! included — acquires one cluster-wide [`GlobalLock`] homed on locale 0.
+//! This is what makes it "the slowest of all where not only does
+//! it not scale due to mutual exclusion, but also degrades in performance
+//! due to the increasing number of remote tasks that must contest for the
+//! same lock" (§V-A): the comm layer charges every remote task a round
+//! trip per acquisition and a PUT per release.
 
 use crate::unsafe_array::UnsafeArray;
 use rcuarray::Element;
-use rcuarray_runtime::sync_var::SyncVarLock;
-use rcuarray_runtime::{Cluster, CommMessage, LocaleId};
-use std::sync::atomic::{AtomicU64, Ordering};
+use rcuarray_runtime::{Cluster, GlobalLock, LocaleId};
 use std::sync::Arc;
 
-/// The sync-variable-locked distributed array.
+/// The lock-guarded distributed array.
 pub struct SyncArray<T: Element> {
     inner: UnsafeArray<T>,
-    lock: SyncVarLock,
-    lock_home: LocaleId,
-    acquisitions: AtomicU64,
-    account_comm: bool,
+    lock: GlobalLock,
 }
 
 impl<T: Element> SyncArray<T> {
     /// An empty locked array over `cluster`.
     pub fn new(cluster: &Arc<Cluster>) -> Self {
-        Self::with_accounting(cluster, true)
-    }
-
-    /// An empty locked array with explicit communication accounting.
-    pub fn with_accounting(cluster: &Arc<Cluster>, account_comm: bool) -> Self {
         SyncArray {
-            inner: UnsafeArray::with_accounting(cluster, account_comm),
-            lock: SyncVarLock::new(),
-            lock_home: LocaleId::ZERO,
-            acquisitions: AtomicU64::new(0),
-            account_comm,
+            inner: UnsafeArray::new(cluster),
+            lock: GlobalLock::new(cluster, LocaleId::ZERO),
         }
     }
 
@@ -51,28 +39,11 @@ impl<T: Element> SyncArray<T> {
         a
     }
 
-    /// Acquire the cluster-wide sync variable, charging remote tasks the
-    /// round trip to its home locale.
+    /// Run `f` under the cluster-wide lock. The guard's drop releases the
+    /// lock (and charges a remote task's release) on unwind too.
     fn locked<R>(&self, f: impl FnOnce(&UnsafeArray<T>) -> R) -> R {
-        let from = rcuarray_runtime::current_locale();
-        if self.account_comm && from != self.lock_home {
-            // One LockAcquire message: the GET+PUT round trip a remote
-            // lock-word RMW costs on the wire.
-            let _ = self
-                .inner
-                .cluster()
-                .send_to(self.lock_home, CommMessage::LockAcquire);
-        }
         let _g = self.lock.acquire();
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        let r = f(&self.inner);
-        if self.account_comm && from != self.lock_home {
-            let _ = self
-                .inner
-                .cluster()
-                .send_to(self.lock_home, CommMessage::LockRelease);
-        }
-        r
+        f(&self.inner)
     }
 
     /// Read element `idx` under the lock.
@@ -109,7 +80,7 @@ impl<T: Element> SyncArray<T> {
 
     /// Total lock acquisitions (each op takes exactly one).
     pub fn acquisitions(&self) -> u64 {
-        self.acquisitions.load(Ordering::Relaxed)
+        self.lock.acquisitions()
     }
 
     /// Snapshot the values under one lock acquisition.
@@ -139,7 +110,7 @@ mod tests {
     #[test]
     fn basic_round_trip() {
         let c = cluster(2);
-        let a: SyncArray<u64> = SyncArray::with_accounting(&c, false);
+        let a: SyncArray<u64> = SyncArray::new(&c);
         a.resize(10);
         a.write(3, 7);
         assert_eq!(a.read(3), 7);
@@ -150,7 +121,7 @@ mod tests {
     #[test]
     fn concurrent_ops_and_resizes_are_safe() {
         let c = cluster(2);
-        let a = Arc::new(SyncArray::<u64>::with_accounting(&c, false));
+        let a = Arc::new(SyncArray::<u64>::new(&c));
         a.resize(8);
         std::thread::scope(|s| {
             let a1 = Arc::clone(&a);
@@ -201,9 +172,29 @@ mod tests {
     }
 
     #[test]
+    fn remote_panic_under_the_lock_still_pays_the_release() {
+        let c = cluster(2);
+        let a: SyncArray<u64> = SyncArray::new(&c);
+        a.resize(4);
+        c.comm().reset();
+        task::with_locale(LocaleId::new(1), || {
+            let died = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| a.read(99)));
+            assert!(died.is_err(), "out-of-bounds read must panic");
+        });
+        // The acquire round trip's write-back plus the release, paid by
+        // the guard's drop during unwind.
+        assert_eq!(c.comm_stats().puts, 2, "{:?}", c.comm_stats());
+        assert!(!a.lock.is_locked(), "unwind must release the lock");
+        task::with_locale(LocaleId::new(1), || {
+            a.write(1, 7);
+            assert_eq!(a.read(1), 7);
+        });
+    }
+
+    #[test]
     fn to_vec_under_single_acquisition() {
         let c = cluster(1);
-        let a: SyncArray<u16> = SyncArray::with_accounting(&c, false);
+        let a: SyncArray<u16> = SyncArray::new(&c);
         a.resize(3);
         a.write(1, 5);
         let before = a.acquisitions();

@@ -81,7 +81,6 @@ pub struct UnsafeArray<T: Element> {
     resize_lock: Mutex<()>,
     len: AtomicUsize,
     resizes: AtomicU64,
-    account_comm: bool,
 }
 
 // SAFETY: element cells are atomics; storage pointers are swapped
@@ -90,14 +89,8 @@ unsafe impl<T: Element> Send for UnsafeArray<T> {}
 unsafe impl<T: Element> Sync for UnsafeArray<T> {}
 
 impl<T: Element> UnsafeArray<T> {
-    /// An empty array distributed over `cluster`, with communication
-    /// accounting on.
+    /// An empty array distributed over `cluster`.
     pub fn new(cluster: &Arc<Cluster>) -> Self {
-        Self::with_accounting(cluster, true)
-    }
-
-    /// An empty array with explicit communication accounting.
-    pub fn with_accounting(cluster: &Arc<Cluster>, account_comm: bool) -> Self {
         let storage = Box::new(Storage::<T>::new(0, cluster.num_locales()));
         UnsafeArray {
             cluster: Arc::clone(cluster),
@@ -106,7 +99,6 @@ impl<T: Element> UnsafeArray<T> {
             resize_lock: Mutex::new(()),
             len: AtomicUsize::new(0),
             resizes: AtomicU64::new(0),
-            account_comm,
         }
     }
 
@@ -148,9 +140,7 @@ impl<T: Element> UnsafeArray<T> {
     #[inline]
     pub fn read(&self, idx: usize) -> T {
         let (cell, home) = self.storage().cell(idx);
-        if self.account_comm {
-            self.cluster.get_from(home, T::byte_size());
-        }
+        self.cluster.get_from(home, T::byte_size());
         T::load(cell)
     }
 
@@ -165,9 +155,7 @@ impl<T: Element> UnsafeArray<T> {
     #[inline]
     pub fn write(&self, idx: usize, v: T) {
         let (cell, home) = self.storage().cell(idx);
-        if self.account_comm {
-            self.cluster.put_to(home, T::byte_size());
-        }
+        self.cluster.put_to(home, T::byte_size());
         T::store(cell, v);
     }
 
@@ -193,11 +181,9 @@ impl<T: Element> UnsafeArray<T> {
         for i in 0..old.len() {
             let (src, src_home) = old.cell(i);
             let (dst, dst_home) = new.cell(i);
-            if self.account_comm && src_home != dst_home {
-                let _ = self
-                    .cluster
-                    .copy_between(src_home, dst_home, T::byte_size());
-            }
+            let _ = self
+                .cluster
+                .copy_between(src_home, dst_home, T::byte_size());
             T::store(dst, T::load(src));
         }
         let new_ptr = Box::into_raw(new);
@@ -262,7 +248,7 @@ mod tests {
     #[test]
     fn empty_then_grow_and_round_trip() {
         let c = cluster(3);
-        let a: UnsafeArray<u64> = UnsafeArray::with_accounting(&c, false);
+        let a: UnsafeArray<u64> = UnsafeArray::new(&c);
         assert!(a.is_empty());
         assert_eq!(a.resize(10), 10);
         for i in 0..10 {
@@ -275,7 +261,7 @@ mod tests {
     #[test]
     fn resize_preserves_values_via_deep_copy() {
         let c = cluster(4);
-        let a: UnsafeArray<u32> = UnsafeArray::with_accounting(&c, false);
+        let a: UnsafeArray<u32> = UnsafeArray::new(&c);
         a.resize(7);
         for i in 0..7 {
             a.write(i, 100 + i as u32);
@@ -292,7 +278,7 @@ mod tests {
     #[test]
     fn elements_are_block_distributed_contiguously() {
         let c = cluster(2);
-        let a: UnsafeArray<u64> = UnsafeArray::with_accounting(&c, true);
+        let a: UnsafeArray<u64> = UnsafeArray::new(&c);
         a.resize(10); // chunks: L0 gets 0..5, L1 gets 5..10
         c.comm().reset();
         task::with_locale(LocaleId::ZERO, || {
@@ -308,7 +294,7 @@ mod tests {
     #[test]
     fn reads_racing_resize_are_memory_safe() {
         let c = cluster(2);
-        let a = Arc::new(UnsafeArray::<u64>::with_accounting(&c, false));
+        let a = Arc::new(UnsafeArray::<u64>::new(&c));
         a.resize(64);
         a.fill(7);
         std::thread::scope(|s| {
@@ -336,7 +322,7 @@ mod tests {
     #[test]
     fn fill_sets_everything() {
         let c = cluster(2);
-        let a: UnsafeArray<i32> = UnsafeArray::with_accounting(&c, false);
+        let a: UnsafeArray<i32> = UnsafeArray::new(&c);
         a.resize(9);
         a.fill(-3);
         assert!(a.to_vec().iter().all(|&v| v == -3));
@@ -346,7 +332,7 @@ mod tests {
     #[should_panic]
     fn out_of_bounds_read_panics() {
         let c = cluster(1);
-        let a: UnsafeArray<u8> = UnsafeArray::with_accounting(&c, false);
+        let a: UnsafeArray<u8> = UnsafeArray::new(&c);
         a.resize(4);
         a.read(4);
     }
@@ -361,7 +347,7 @@ mod tests {
     #[test]
     fn resize_zero_noop() {
         let c = cluster(1);
-        let a: UnsafeArray<u64> = UnsafeArray::with_accounting(&c, false);
+        let a: UnsafeArray<u64> = UnsafeArray::new(&c);
         assert_eq!(a.resize(0), 0);
         assert_eq!(a.resizes(), 0);
     }

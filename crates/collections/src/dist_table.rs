@@ -324,11 +324,7 @@ mod tests {
     }
 
     fn cfg() -> Config {
-        Config {
-            block_size: 16,
-            account_comm: false,
-            ..Config::default()
-        }
+        Config::with_block_size(16)
     }
 
     fn table(capacity: usize) -> DistTable {

@@ -190,11 +190,7 @@ mod tests {
     }
 
     fn cfg() -> Config {
-        Config {
-            block_size: 16,
-            account_comm: false,
-            ..Config::default()
-        }
+        Config::with_block_size(16)
     }
 
     #[test]

@@ -327,7 +327,7 @@ impl EpochZone {
     /// within the stall bound, and free synchronously — or, when a reader
     /// on the old parity never drains, *evacuate* the retirement so the
     /// writer makes progress and the memory is freed later, once both
-    /// parity counters have been observed empty (see [`EvacEntry`]).
+    /// parity counters have been observed empty (see `EvacEntry`).
     ///
     /// With the default (disabled) stall policy this is exactly the
     /// classic synchronous retire.

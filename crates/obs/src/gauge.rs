@@ -44,8 +44,8 @@ impl Gauge {
     }
 }
 
-/// A statically declarable gauge handle; see [`LazyCounter`]
-/// (`crate::LazyCounter`) for the interning/disable contract.
+/// A statically declarable gauge handle; see
+/// [`LazyCounter`](crate::LazyCounter) for the interning/disable contract.
 pub struct LazyGauge {
     name: &'static str,
     help: &'static str,

@@ -34,7 +34,7 @@ use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram, ScopedCounter};
 use rcuarray_qsbr::QsbrDomain;
 use rcuarray_reclaim::{Reclaim, ReclaimStats, Retired};
 use rcuarray_runtime::{
-    Cluster, CommError, GlobalLock, LocaleId, MembershipView, OpKind, PrivHandle,
+    Cluster, CommError, GlobalLock, LocaleId, MembershipView, OpKind, PrivHandle, RetryPolicy,
 };
 use std::ptr::NonNull;
 use std::sync::{Arc, Mutex};
@@ -108,6 +108,85 @@ impl<T: Element> SendSnap<T> {
     }
 }
 
+/// The one path every element GET/PUT of an array — and of the
+/// [`ElemRef`]s it hands out — is charged through. Under an enabled fault
+/// plan a charge is retried per [`Config::retry`]; one that still fails
+/// does *not* fail the access (the simulation's blocks are node-visible
+/// memory) and is counted as a fallback read or a degraded write.
+pub(crate) struct Charger {
+    cluster: Arc<Cluster>,
+    retry: RetryPolicy,
+    /// Reads served from the locale-local snapshot after their remote
+    /// charge exhausted its retry budget.
+    fallback_reads: AtomicU64,
+    /// Writes whose remote charge exhausted its retry budget (the store
+    /// itself still lands — blocks are shared memory in the simulation).
+    degraded_writes: AtomicU64,
+}
+
+impl Charger {
+    pub(crate) fn new(cluster: &Arc<Cluster>, retry: RetryPolicy) -> Self {
+        Charger {
+            cluster: Arc::clone(cluster),
+            retry,
+            fallback_reads: AtomicU64::new(0),
+            degraded_writes: AtomicU64::new(0),
+        }
+    }
+
+    /// Charge a GET of `bytes` against `home`.
+    #[inline]
+    pub(crate) fn get(&self, home: LocaleId, bytes: usize) {
+        if !self.cluster.fault().is_enabled() {
+            self.cluster.get_from(home, bytes);
+            return;
+        }
+        self.get_faulty(home, bytes);
+    }
+
+    #[cold]
+    fn get_faulty(&self, home: LocaleId, bytes: usize) {
+        let cluster = &*self.cluster;
+        if self
+            .retry
+            .run(cluster.comm(), || cluster.try_get_from(home, bytes))
+            .is_err()
+        {
+            self.count_fallback_read();
+        }
+    }
+
+    /// Charge a PUT of `bytes` against `home`.
+    #[inline]
+    pub(crate) fn put(&self, home: LocaleId, bytes: usize) {
+        if !self.cluster.fault().is_enabled() {
+            self.cluster.put_to(home, bytes);
+            return;
+        }
+        self.put_faulty(home, bytes);
+    }
+
+    #[cold]
+    fn put_faulty(&self, home: LocaleId, bytes: usize) {
+        let cluster = &*self.cluster;
+        if self
+            .retry
+            .run(cluster.comm(), || cluster.try_put_to(home, bytes))
+            .is_err()
+        {
+            self.count_degraded_write();
+        }
+    }
+
+    fn count_fallback_read(&self) {
+        self.fallback_reads.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn count_degraded_write(&self) {
+        self.degraded_writes.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 /// Cluster-wide shared state (one per array, not per locale).
 struct Shared<T: Element, S: Scheme> {
     cluster: Arc<Cluster>,
@@ -122,12 +201,9 @@ struct Shared<T: Element, S: Scheme> {
     resizes: ScopedCounter,
     /// Resize attempts rolled back after a fault, timeout or panic.
     aborted_resizes: ScopedCounter,
-    /// Reads served from the locale-local snapshot after their remote
-    /// charge exhausted its retry budget.
-    fallback_reads: AtomicU64,
-    /// Writes whose remote charge exhausted its retry budget (the store
-    /// itself still lands — blocks are shared memory in the simulation).
-    degraded_writes: AtomicU64,
+    /// Element GET/PUT charges, with their retry policy and the
+    /// fallback-read / degraded-write counters.
+    charge: Charger,
     /// Reads served from a replica because the primary's home was not
     /// `Up` (DESIGN.md §15; zero at `replication_factor = 1`).
     failover_reads: ScopedCounter,
@@ -182,8 +258,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 capacity: AtomicUsize::new(0),
                 resizes: OBS_RESIZES.scoped(),
                 aborted_resizes: OBS_RESIZE_ABORTS.scoped(),
-                fallback_reads: AtomicU64::new(0),
-                degraded_writes: AtomicU64::new(0),
+                charge: Charger::new(cluster, config.retry),
                 failover_reads: OBS_FAILOVER_READS.scoped(),
                 rereplicated_bytes: OBS_REREPLICATION_BYTES.scoped(),
             }),
@@ -246,65 +321,6 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         self.shared.scheme.domain()
     }
 
-    #[inline]
-    fn comm(&self) -> Option<&Cluster> {
-        if self.shared.config.account_comm {
-            Some(&self.shared.cluster)
-        } else {
-            None
-        }
-    }
-
-    /// Charge a GET against `home`, retrying per [`Config::retry`] when
-    /// the cluster's fault plan is enabled. A charge that still fails
-    /// after retries does *not* fail the read: the simulation's blocks
-    /// are node-visible memory, so the value is served from the
-    /// locale-local snapshot and counted as a fallback read.
-    #[inline]
-    fn charge_get(&self, home: LocaleId, bytes: usize) {
-        let Some(cluster) = self.comm() else { return };
-        if !cluster.fault().is_enabled() {
-            cluster.get_from(home, bytes);
-            return;
-        }
-        self.charge_get_faulty(cluster, home, bytes);
-    }
-
-    #[cold]
-    fn charge_get_faulty(&self, cluster: &Cluster, home: LocaleId, bytes: usize) {
-        let policy = self.shared.config.retry;
-        if policy
-            .run(cluster.comm(), || cluster.try_get_from(home, bytes))
-            .is_err()
-        {
-            self.shared.fallback_reads.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Charge a PUT against `home`, retrying per [`Config::retry`] when
-    /// the fault plan is enabled. A charge that exhausts its budget is
-    /// counted as a degraded write; the store still lands.
-    #[inline]
-    fn charge_put(&self, home: LocaleId, bytes: usize) {
-        let Some(cluster) = self.comm() else { return };
-        if !cluster.fault().is_enabled() {
-            cluster.put_to(home, bytes);
-            return;
-        }
-        self.charge_put_faulty(cluster, home, bytes);
-    }
-
-    #[cold]
-    fn charge_put_faulty(&self, cluster: &Cluster, home: LocaleId, bytes: usize) {
-        let policy = self.shared.config.retry;
-        if policy
-            .run(cluster.comm(), || cluster.try_put_to(home, bytes))
-            .is_err()
-        {
-            self.shared.degraded_writes.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Read one element of `block`, failing over to a replica when the
     /// primary's home has been evicted from the membership view
     /// (DESIGN.md §15). At `replication_factor = 1` this is byte-for-byte
@@ -317,7 +333,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         if self.shared.placement.is_replicated() && !self.shared.cluster.membership().is_up(home) {
             return self.failover_load(block_idx, off, b);
         }
-        self.charge_get(home, T::byte_size());
+        self.shared.charge.get(home, T::byte_size());
         b.load(off)
     }
 
@@ -333,12 +349,12 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         let membership = self.shared.cluster.membership();
         let Some((loc, replica)) = self.shared.placement.failover_target(block_idx, membership)
         else {
-            self.shared.fallback_reads.fetch_add(1, Ordering::Relaxed);
+            self.shared.charge.count_fallback_read();
             return primary.load(off);
         };
         // SAFETY: replica blocks are registry-owned like every block.
         let v = unsafe { replica.get() }.load(off);
-        self.charge_get(loc, T::byte_size());
+        self.shared.charge.get(loc, T::byte_size());
         self.shared.failover_reads.add(1);
         if let Some(t0) = t0 {
             OBS_FAILOVER_NS.record(t0.elapsed().as_nanos() as u64);
@@ -363,7 +379,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             Some((loc, replica)) => {
                 // SAFETY: registry-owned replica block.
                 let b = unsafe { replica.get() };
-                self.charge_get(loc, take * T::byte_size());
+                self.shared.charge.get(loc, take * T::byte_size());
                 for k in 0..take {
                     out.push(b.load(off + k));
                 }
@@ -373,7 +389,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 }
             }
             None => {
-                self.shared.fallback_reads.fetch_add(1, Ordering::Relaxed);
+                self.shared.charge.count_fallback_read();
                 for k in 0..take {
                     out.push(primary.load(off + k));
                 }
@@ -389,7 +405,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // SAFETY: registry-owned block.
         let b = unsafe { block.get() };
         if !self.shared.placement.is_replicated() {
-            self.charge_put(b.home(), T::byte_size());
+            self.shared.charge.put(b.home(), T::byte_size());
             b.store(off, value);
             return;
         }
@@ -420,7 +436,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 .map(|(l, _)| l)
                 .unwrap_or(home)
         };
-        self.charge_put(ack_home, bytes);
+        self.shared.charge.put(ack_home, bytes);
         for (k, &v) in vals.iter().enumerate() {
             primary.store(off + k, v);
         }
@@ -455,7 +471,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// like any other exhausted charge — the stores already landed.
     fn drain_replica_lag(&self) {
         for (loc, bytes) in self.shared.placement.take_lag() {
-            self.charge_put(loc, bytes as usize);
+            self.shared.charge.put(loc, bytes as usize);
         }
         OBS_REPLICA_LAG.set(self.shared.placement.lag_bytes() as i64);
     }
@@ -616,7 +632,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             let home = unsafe { block.get() }.home();
             (block, off, home)
         });
-        let mut r = ElemRef::new(self.cell_of(block, off), home, self.comm());
+        let mut r = ElemRef::new(self.cell_of(block, off), home, &self.shared.charge);
         if self.shared.placement.is_replicated() {
             // Capture the replica cells so assignments through the
             // reference reach every copy (Lemma 6 on every replica).
@@ -749,15 +765,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             fault.hit("resize.alloc")?;
             let mut entries = Vec::with_capacity(homes.len());
             for &home in homes {
-                let block_ref = self.shared.cluster.try_on(home, || {
-                    let block = Block::<T>::new(home, bs);
-                    self.shared
-                        .cluster
-                        .locale(home)
-                        .record_allocation(block.byte_size());
-                    self.shared.blocks.adopt(block)
-                })?;
-                entries.push((home, block_ref));
+                entries.push((home, self.alloc_block_on(home)?));
             }
             // The snapshot references the primary; replica refs live only
             // in the placement map. Rolled-back groups are truncated by
@@ -822,6 +830,33 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         Ok(new_cap)
     }
 
+    /// Allocate one block *on* `home` (a remote execution when `home` is
+    /// not the caller's locale), record the allocation against `home`,
+    /// and hand the block to the registry, which owns it until the array
+    /// drops.
+    fn alloc_block_on(&self, home: LocaleId) -> Result<BlockRef<T>, CommError> {
+        let shared = &self.shared;
+        shared.cluster.try_on(home, || {
+            let block = Block::<T>::new(home, shared.config.block_size);
+            shared
+                .cluster
+                .locale(home)
+                .record_allocation(block.byte_size());
+            shared.blocks.adopt(block)
+        })
+    }
+
+    /// Publish on locale `l` a snapshot of the first `nblocks` blocks of
+    /// `from`, one version past it, and retire the snapshot it replaces.
+    /// The caller holds the write lock, so `l`'s snapshot is stable; when
+    /// `from` *is* `l`'s snapshot it must not be used after this call.
+    fn republish_prefix(&self, l: LocaleId, from: &Snapshot<T>, nblocks: usize) {
+        let st = self.state.get_on(l);
+        let snap = Snapshot::from_blocks(from.blocks()[..nblocks].to_vec(), from.version() + 1);
+        let old_ptr = st.publish(snap);
+        self.retire_snapshot(st, old_ptr);
+    }
+
     /// Count an aborted attempt that never reached the rollback guard.
     #[cold]
     fn abort_resize(&self, e: CommError) -> CommError {
@@ -853,15 +888,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             return current;
         }
         self.shared.cluster.coforall_locales(|l| {
-            let st = self.state.get_on(l);
             // SAFETY: write lock held; this locale's snapshot is stable.
-            let old_snap = unsafe { st.snapshot_ref() };
-            let new_snap = Snapshot::from_blocks(
-                old_snap.blocks()[..keep_blocks].to_vec(),
-                old_snap.version() + 1,
-            );
-            let old_ptr = st.publish(new_snap);
-            self.retire_snapshot(st, old_ptr);
+            let cur = unsafe { self.state.get_on(l).snapshot_ref() };
+            self.republish_prefix(l, cur, keep_blocks);
         });
         // Keep the placement map aligned with the snapshot prefix: a
         // later resize appends fresh groups at `keep_blocks`.
@@ -895,7 +924,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 {
                     self.failover_load_chunk(idx / bs, off, take, b, &mut out);
                 } else {
-                    self.charge_get(home, take * T::byte_size());
+                    self.shared.charge.get(home, take * T::byte_size());
                     for k in 0..take {
                         out.push(b.load(off + k));
                     }
@@ -924,7 +953,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 if self.shared.placement.is_replicated() {
                     self.replicated_store_chunk(idx / bs, b, off, &values[src..src + take]);
                 } else {
-                    self.charge_put(b.home(), take * T::byte_size());
+                    self.shared.charge.put(b.home(), take * T::byte_size());
                     for k in 0..take {
                         b.store(off + k, values[src + k]);
                     }
@@ -1040,7 +1069,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 // SAFETY: registry-owned block.
                 let home = unsafe { block.get() }.home();
                 for off in 0..bs {
-                    let r = ElemRef::new(self.cell_of(block, off), home, self.comm());
+                    let r = ElemRef::new(self.cell_of(block, off), home, &self.shared.charge);
                     f(block_idx * bs + off, &r);
                 }
             }
@@ -1107,7 +1136,6 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     fn repair_group(&self, block_idx: usize, view: &MembershipView) -> usize {
         let shared = &self.shared;
         let membership = shared.cluster.membership();
-        let bs = shared.config.block_size;
         shared.placement.with_groups(|groups| {
             let Some(group) = groups.get_mut(block_idx) else {
                 return 0;
@@ -1132,14 +1160,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 let Some(target) = group.repair_target(dead_loc, membership) else {
                     continue; // no spare locale; stay under-replicated
                 };
-                let Ok(fresh) = shared.cluster.try_on(target, || {
-                    let block = Block::<T>::new(target, bs);
-                    shared
-                        .cluster
-                        .locale(target)
-                        .record_allocation(block.byte_size());
-                    shared.blocks.adopt(block)
-                }) else {
+                let Ok(fresh) = self.alloc_block_on(target) else {
                     continue; // faulted allocation; retry on the next call
                 };
                 // SAFETY: donor and fresh blocks are registry-owned.
@@ -1156,7 +1177,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                     .copy_between(donor_loc, target, bytes)
                     .is_err()
                 {
-                    shared.degraded_writes.fetch_add(1, Ordering::Relaxed);
+                    shared.charge.count_degraded_write();
                 }
                 group.entries[slot] = (target, fresh);
                 copied += bytes;
@@ -1183,12 +1204,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // SAFETY: the write lock serializes publishers, so both
         // snapshots are stable for the duration.
         let cur = unsafe { here.snapshot_ref() };
-        let st = self.state.get_on(locale);
-        let stale = unsafe { st.snapshot_ref() };
+        let stale = unsafe { self.state.get_on(locale).snapshot_ref() };
         if stale.num_blocks() != cur.num_blocks() {
-            let fresh = Snapshot::from_blocks(cur.blocks().to_vec(), cur.version() + 1);
-            let old_ptr = st.publish(fresh);
-            self.retire_snapshot(st, old_ptr);
+            self.republish_prefix(locale, cur, cur.num_blocks());
         }
         drop(guard);
         let mut copied = 0usize;
@@ -1224,7 +1242,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                             .copy_between(donor_loc, locale, bytes)
                             .is_err()
                         {
-                            shared.degraded_writes.fetch_add(1, Ordering::Relaxed);
+                            shared.charge.count_degraded_write();
                         }
                         c += bytes;
                     }
@@ -1259,8 +1277,8 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 .per_locale_histogram(self.shared.cluster.num_locales()),
             resizes: self.shared.resizes.get(),
             aborted_resizes: self.shared.aborted_resizes.get(),
-            fallback_reads: self.shared.fallback_reads.load(Ordering::Relaxed),
-            degraded_writes: self.shared.degraded_writes.load(Ordering::Relaxed),
+            fallback_reads: self.shared.charge.fallback_reads.load(Ordering::Relaxed),
+            degraded_writes: self.shared.charge.degraded_writes.load(Ordering::Relaxed),
             failover_reads: self.shared.failover_reads.get(),
             rereplicated_bytes: self.shared.rereplicated_bytes.get(),
             replica_lag_bytes: self.shared.placement.lag_bytes(),
@@ -1299,14 +1317,11 @@ impl<T: Element, S: Scheme> Drop for ResizeRollback<'_, T, S> {
             if !flag.load(Ordering::Acquire) {
                 continue;
             }
-            let st = self.array.state.get_on(LocaleId::new(l as u32));
+            let l = LocaleId::new(l as u32);
             // SAFETY: the aborting resize still holds the write lock, so
             // this locale's snapshot is stable.
-            let cur = unsafe { st.snapshot_ref() };
-            let rolled =
-                Snapshot::from_blocks(cur.blocks()[..self.old_nblocks].to_vec(), cur.version() + 1);
-            let old_ptr = st.publish(rolled);
-            self.array.retire_snapshot(st, old_ptr);
+            let cur = unsafe { self.array.state.get_on(l).snapshot_ref() };
+            self.array.republish_prefix(l, cur, self.old_nblocks);
         }
     }
 }
@@ -1366,11 +1381,7 @@ mod tests {
     }
 
     fn small_config() -> Config {
-        Config {
-            block_size: 8,
-            account_comm: false,
-            ..Config::default()
-        }
+        Config::with_block_size(8)
     }
 
     fn all_schemes(test: impl Fn(&dyn Fn() -> Box<dyn ArrayOps>)) {
@@ -1683,11 +1694,7 @@ mod tests {
     #[test]
     fn reads_are_node_local_metadata_comm_only_for_remote_blocks() {
         let c = cluster(2);
-        let cfg = Config {
-            block_size: 8,
-            account_comm: true,
-            ..Config::default()
-        };
+        let cfg = Config::with_block_size(8);
         let a: QsbrArray<u64> = RcuArray::with_config(&c, cfg);
         a.resize(16); // block 0 on L0, block 1 on L1
         c.comm().reset();
@@ -1842,11 +1849,7 @@ mod tests {
     #[test]
     fn forall_local_visits_every_element_once_locally() {
         let c = cluster(3);
-        let cfg = Config {
-            block_size: 8,
-            account_comm: true,
-            ..Config::default()
-        };
+        let cfg = Config::with_block_size(8);
         let a: QsbrArray<u64> = RcuArray::with_config(&c, cfg);
         a.resize(8 * 6);
         c.comm().reset();
@@ -2001,11 +2004,7 @@ mod tests {
     #[test]
     fn bulk_read_write_round_trip_and_aggregate_comm() {
         let c = cluster(2);
-        let cfg = Config {
-            block_size: 8,
-            account_comm: true,
-            ..Config::default()
-        };
+        let cfg = Config::with_block_size(8);
         let a: QsbrArray<u64> = RcuArray::with_config(&c, cfg);
         a.resize(32);
         let data: Vec<u64> = (0..20).map(|i| i * 3).collect();
@@ -2080,7 +2079,6 @@ mod tests {
     fn rf2_config() -> Config {
         Config {
             block_size: 8,
-            account_comm: true,
             replication_factor: 2,
             retry: RetryPolicy::new(2, std::time::Duration::from_millis(100)),
             ..Config::default()
@@ -2146,7 +2144,6 @@ mod tests {
         let c = cluster(3);
         let cfg = Config {
             block_size: 8,
-            account_comm: true,
             replication_factor: 2,
             ..Config::default()
         };

@@ -1,4 +1,4 @@
-//! Array configuration: block size, accounting, retry policy,
+//! Array configuration: block size, retry policy,
 //! reclamation robustness, replication.
 
 use rcuarray_reclaim::{PressureConfig, StallPolicy};
@@ -13,11 +13,6 @@ pub const DEFAULT_BLOCK_SIZE: usize = 1024;
 pub struct Config {
     /// Elements per block (`BlockSize` in Listing 1).
     pub block_size: usize,
-    /// Whether element accesses are charged through the cluster's
-    /// communication layer. Accounting costs one relaxed counter update
-    /// per access, identical across all array variants; disable it only
-    /// for microbenchmarks that isolate the reclamation protocol itself.
-    pub account_comm: bool,
     /// How fault-injected communication failures are retried (consulted by
     /// `read`/`write`/`resize` only when the cluster's fault plan is
     /// enabled; a healthy cluster never enters the retry path).
@@ -48,7 +43,6 @@ impl Default for Config {
     fn default() -> Self {
         Config {
             block_size: DEFAULT_BLOCK_SIZE,
-            account_comm: true,
             retry: RetryPolicy::default(),
             pressure: PressureConfig::unbounded(),
             stall: StallPolicy::disabled(),
@@ -102,7 +96,6 @@ mod tests {
     fn default_matches_paper() {
         let c = Config::default();
         assert_eq!(c.block_size, 1024);
-        assert!(c.account_comm);
         assert!(!c.pressure.is_bounded(), "unbounded backlog by default");
         assert!(!c.stall.detects_lag(), "stall detection off by default");
         c.validate();

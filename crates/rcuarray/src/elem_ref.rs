@@ -10,14 +10,18 @@
 //! obtained from an *old* snapshot lands in a block the *new* snapshot
 //! shares, so the update is never lost.
 
+use crate::array::Charger;
 use crate::element::Element;
-use rcuarray_runtime::{Cluster, LocaleId};
+use rcuarray_runtime::LocaleId;
 
 /// A reference to one element of an `RcuArray`, usable for both reads and
 /// updates, surviving concurrent resizes.
 ///
 /// Borrow-tied to the array handle it came from, which keeps the block
-/// registry (and thus the cell) alive.
+/// registry (and thus the cell) alive. Accesses are charged through the
+/// array's own comm path, so under a fault plan they are retried and
+/// counted (fallback reads, degraded writes) exactly like
+/// `RcuArray::read`/`write`.
 ///
 /// Under replication (`Config::replication_factor > 1`) the reference
 /// captures the element's replica cells at creation time and fans every
@@ -31,18 +35,17 @@ use rcuarray_runtime::{Cluster, LocaleId};
 pub struct ElemRef<'a, T: Element> {
     cell: &'a T::Repr,
     home: LocaleId,
-    /// Present when the owning array accounts communication.
-    comm: Option<&'a Cluster>,
+    charge: &'a Charger,
     /// Replica cells assignments fan out to (empty at `rf = 1`).
     replicas: Vec<(LocaleId, &'a T::Repr)>,
 }
 
 impl<'a, T: Element> ElemRef<'a, T> {
-    pub(crate) fn new(cell: &'a T::Repr, home: LocaleId, comm: Option<&'a Cluster>) -> Self {
+    pub(crate) fn new(cell: &'a T::Repr, home: LocaleId, charge: &'a Charger) -> Self {
         ElemRef {
             cell,
             home,
-            comm,
+            charge,
             replicas: Vec::new(),
         }
     }
@@ -53,13 +56,11 @@ impl<'a, T: Element> ElemRef<'a, T> {
     }
 
     /// Propagate a just-applied store to every captured replica cell,
-    /// charging one PUT per replica when the array accounts comm.
+    /// charging one PUT per replica.
     #[inline]
     fn fan_out(&self, v: T) {
         for &(loc, cell) in &self.replicas {
-            if let Some(cluster) = self.comm {
-                cluster.put_to(loc, T::byte_size());
-            }
+            self.charge.put(loc, T::byte_size());
             T::store(cell, v);
         }
     }
@@ -73,9 +74,7 @@ impl<'a, T: Element> ElemRef<'a, T> {
     /// Read the element (a GET when the block is remote).
     #[inline]
     pub fn get(&self) -> T {
-        if let Some(cluster) = self.comm {
-            cluster.get_from(self.home, T::byte_size());
-        }
+        self.charge.get(self.home, T::byte_size());
         T::load(self.cell)
     }
 
@@ -83,9 +82,7 @@ impl<'a, T: Element> ElemRef<'a, T> {
     /// per replica under replication).
     #[inline]
     pub fn set(&self, v: T) {
-        if let Some(cluster) = self.comm {
-            cluster.put_to(self.home, T::byte_size());
-        }
+        self.charge.put(self.home, T::byte_size());
         T::store(self.cell, v);
         self.fan_out(v);
     }
@@ -104,10 +101,8 @@ impl<'a, T: Element> ElemRef<'a, T> {
     /// distributed table claiming key slots).
     #[inline]
     pub fn compare_exchange(&self, current: T, new: T) -> Result<T, T> {
-        if let Some(cluster) = self.comm {
-            cluster.get_from(self.home, T::byte_size());
-            cluster.put_to(self.home, T::byte_size());
-        }
+        self.charge.get(self.home, T::byte_size());
+        self.charge.put(self.home, T::byte_size());
         let r = T::compare_exchange(self.cell, current, new);
         if r.is_ok() {
             // The exchange is decided by the primary cell; replicas just
@@ -147,12 +142,23 @@ impl<T: Element + std::fmt::Debug> std::fmt::Debug for ElemRef<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcuarray_runtime::{task, Topology};
+    use rcuarray_runtime::{task, Cluster, RetryPolicy, Topology};
+    use std::sync::Arc;
+
+    fn charger(cluster: &Arc<Cluster>) -> Charger {
+        Charger::new(cluster, RetryPolicy::default())
+    }
+
+    /// A charger on a one-locale cluster: every access is local.
+    fn local() -> Charger {
+        charger(&Cluster::with_locales(1))
+    }
 
     #[test]
-    fn get_set_round_trip_without_comm() {
+    fn get_set_round_trip_on_the_home_locale() {
         let cell = u64::new_repr(5);
-        let r: ElemRef<u64> = ElemRef::new(&cell, LocaleId::ZERO, None);
+        let local = local();
+        let r: ElemRef<u64> = ElemRef::new(&cell, LocaleId::ZERO, &local);
         assert_eq!(r.get(), 5);
         r.set(9);
         assert_eq!(r.get(), 9);
@@ -164,7 +170,8 @@ mod tests {
     #[test]
     fn compare_exchange_and_fetch_update() {
         let cell = u64::new_repr(10);
-        let r: ElemRef<u64> = ElemRef::new(&cell, LocaleId::ZERO, None);
+        let local = local();
+        let r: ElemRef<u64> = ElemRef::new(&cell, LocaleId::ZERO, &local);
         assert_eq!(r.compare_exchange(10, 11), Ok(10));
         assert_eq!(r.compare_exchange(10, 12), Err(11));
         assert_eq!(r.fetch_update(|v| v + 5), 11);
@@ -174,11 +181,12 @@ mod tests {
     #[test]
     fn concurrent_fetch_updates_lose_nothing() {
         let cell = u64::new_repr(0);
+        let local = local();
         std::thread::scope(|s| {
             for _ in 0..4 {
-                let cell = &cell;
+                let (cell, local) = (&cell, &local);
                 s.spawn(move || {
-                    let r: ElemRef<u64> = ElemRef::new(cell, LocaleId::ZERO, None);
+                    let r: ElemRef<u64> = ElemRef::new(cell, LocaleId::ZERO, local);
                     for _ in 0..1000 {
                         r.fetch_update(|v| v + 1);
                     }
@@ -192,7 +200,8 @@ mod tests {
     fn assignments_fan_out_to_replica_cells() {
         let cell = u64::new_repr(0);
         let replica = u64::new_repr(0);
-        let mut r: ElemRef<u64> = ElemRef::new(&cell, LocaleId::ZERO, None);
+        let charge = charger(&Cluster::with_locales(2));
+        let mut r: ElemRef<u64> = ElemRef::new(&cell, LocaleId::ZERO, &charge);
         r.push_replica(LocaleId::new(1), &replica);
         r.set(7);
         assert_eq!(u64::load(&replica), 7, "set must reach the replica");
@@ -210,9 +219,10 @@ mod tests {
     #[test]
     fn replica_fan_out_is_charged_per_replica() {
         let cluster = Cluster::new(Topology::new(3, 1));
+        let charge = charger(&cluster);
         let cell = u32::new_repr(0);
         let replica = u32::new_repr(0);
-        let mut r: ElemRef<u32> = ElemRef::new(&cell, LocaleId::new(1), Some(&cluster));
+        let mut r: ElemRef<u32> = ElemRef::new(&cell, LocaleId::new(1), &charge);
         r.push_replica(LocaleId::new(2), &replica);
         task::with_locale(LocaleId::new(0), || r.set(5));
         let s = cluster.comm_stats();
@@ -222,8 +232,9 @@ mod tests {
     #[test]
     fn remote_access_is_charged() {
         let cluster = Cluster::new(Topology::new(2, 1));
+        let charge = charger(&cluster);
         let cell = u32::new_repr(0);
-        let r: ElemRef<u32> = ElemRef::new(&cell, LocaleId::new(1), Some(&cluster));
+        let r: ElemRef<u32> = ElemRef::new(&cell, LocaleId::new(1), &charge);
         task::with_locale(LocaleId::new(0), || {
             let _ = r.get();
             r.set(3);
@@ -237,8 +248,9 @@ mod tests {
     #[test]
     fn local_access_is_not_remote() {
         let cluster = Cluster::new(Topology::new(2, 1));
+        let charge = charger(&cluster);
         let cell = u32::new_repr(0);
-        let r: ElemRef<u32> = ElemRef::new(&cell, LocaleId::new(1), Some(&cluster));
+        let r: ElemRef<u32> = ElemRef::new(&cell, LocaleId::new(1), &charge);
         task::with_locale(LocaleId::new(1), || {
             let _ = r.get();
             r.set(3);

@@ -68,8 +68,8 @@ impl<T: Element, R: Reclaim> LocaleState<T, R> {
     /// # Safety
     /// The caller must guarantee the snapshot cannot be reclaimed for the
     /// lifetime of the returned reference: hold the array's write lock.
-    /// Readers go through [`Reclaim::protect`] on
-    /// [`snapshot_cell`](Self::snapshot_cell) instead, so pointer-based
+    /// Readers go through [`Reclaim::protect`] on `snapshot_cell`
+    /// instead, so pointer-based
     /// schemes see which snapshot they hold.
     #[inline]
     pub unsafe fn snapshot_ref(&self) -> &Snapshot<T> {

@@ -58,14 +58,7 @@ mod tests {
 
     fn array(cap: usize) -> QsbrArray<u32> {
         let c = Cluster::with_locales(2);
-        let a = QsbrArray::with_config(
-            &c,
-            Config {
-                block_size: 4,
-                account_comm: false,
-                ..Config::default()
-            },
-        );
+        let a = QsbrArray::with_config(&c, Config::with_block_size(4));
         a.resize(cap);
         a
     }

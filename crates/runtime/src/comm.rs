@@ -301,7 +301,6 @@ impl CommLayer {
             latency,
             FaultPlan::disabled(),
             TransportKind::Shmem,
-            MeshConfig::default(),
         )
     }
 
@@ -310,7 +309,6 @@ impl CommLayer {
         latency: LatencyModel,
         fault: FaultPlan,
         kind: TransportKind,
-        mesh: MeshConfig,
     ) -> Self {
         let transport: Box<dyn Transport> = match kind {
             TransportKind::Shmem => Box::new(ShmemTransport::new(num_locales)),
@@ -318,7 +316,7 @@ impl CommLayer {
             // rules shape dispatcher behaviour, not per-send checks.
             TransportKind::Mesh => Box::new(MeshTransport::new(
                 num_locales,
-                mesh,
+                MeshConfig::default(),
                 &fault.reorder_links(),
             )),
         };
@@ -657,28 +655,12 @@ mod tests {
         c.send(a, b, CommMessage::LockRelease).unwrap();
         assert_eq!(c.stats_for(a).puts, 2);
         assert_eq!(c.stats_for(a).bytes_moved, 24);
-        c.send(
-            a,
-            b,
-            CommMessage::Collective {
-                kind: crate::transport::CollectiveKind::Reduce,
-                bytes: 32,
-            },
-        )
-        .unwrap();
-        assert_eq!(c.stats_for(a).gets, 2, "a reduce leg is a GET");
     }
 
     #[test]
     fn stats_are_identical_across_backends() {
         let run = |kind: TransportKind| {
-            let c = CommLayer::with_transport(
-                3,
-                LatencyModel::None,
-                FaultPlan::disabled(),
-                kind,
-                MeshConfig::default(),
-            );
+            let c = CommLayer::with_transport(3, LatencyModel::None, FaultPlan::disabled(), kind);
             assert_eq!(c.transport().kind(), kind);
             let (a, b, z) = (LocaleId::new(0), LocaleId::new(1), LocaleId::new(2));
             c.send(a, b, CommMessage::Get { bytes: 64 }).unwrap();

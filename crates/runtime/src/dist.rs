@@ -5,11 +5,11 @@
 //! * [`BlockDist`] — Chapel's standard `BlockDist`, used by the
 //!   *ChapelArray*/*SyncArray* baselines: the index space is cut into one
 //!   contiguous chunk per locale.
-//! * [`BlockCyclicDist`] — RCUArray's own layout: fixed-size blocks dealt
-//!   round-robin across locales ("blocks of the array are distributed in a
-//!   round-robin fashion similar to a block-cyclic distribution",
-//!   paper §III-D), driven at allocation time by the naive
-//!   [`RoundRobinCounter`] (`NextLocaleId` in Listing 1).
+//! * RCUArray's own layout: fixed-size blocks dealt round-robin across
+//!   locales ("blocks of the array are distributed in a round-robin
+//!   fashion similar to a block-cyclic distribution", paper §III-D),
+//!   driven at allocation time by the naive [`RoundRobinCounter`]
+//!   (`NextLocaleId` in Listing 1).
 
 use crate::locale::LocaleId;
 use std::ops::Range;
@@ -85,60 +85,6 @@ impl BlockDist {
     pub fn offset_within_chunk(&self, idx: usize) -> usize {
         let owner = self.locale_of(idx);
         idx - self.chunk_of(owner).start
-    }
-}
-
-/// RCUArray's layout: fixed-size blocks assigned to locales round-robin in
-/// block-allocation order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockCyclicDist {
-    block_size: usize,
-    num_locales: usize,
-}
-
-impl BlockCyclicDist {
-    /// Blocks of `block_size` elements round-robined over `num_locales`.
-    ///
-    /// # Panics
-    /// Panics when either argument is zero.
-    pub fn new(block_size: usize, num_locales: usize) -> Self {
-        assert!(block_size > 0, "block size must be positive");
-        assert!(num_locales > 0, "need at least one locale");
-        BlockCyclicDist {
-            block_size,
-            num_locales,
-        }
-    }
-
-    /// Elements per block.
-    #[inline]
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// The block holding index `idx` (paper Algorithm 3 line 1).
-    #[inline]
-    pub fn block_of(&self, idx: usize) -> usize {
-        idx / self.block_size
-    }
-
-    /// The offset of `idx` within its block (Algorithm 3 line 2).
-    #[inline]
-    pub fn offset_of(&self, idx: usize) -> usize {
-        idx % self.block_size
-    }
-
-    /// The locale that block `block_idx` lands on when blocks are dealt
-    /// starting from `first_locale`.
-    #[inline]
-    pub fn locale_of_block(&self, block_idx: usize, first_locale: LocaleId) -> LocaleId {
-        LocaleId::new(((first_locale.index() + block_idx) % self.num_locales) as u32)
-    }
-
-    /// How many blocks cover `n` elements.
-    #[inline]
-    pub fn blocks_for(&self, n: usize) -> usize {
-        n.div_ceil(self.block_size)
     }
 }
 
@@ -224,27 +170,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn block_dist_rejects_oob() {
         BlockDist::new(4, 2).locale_of(4);
-    }
-
-    #[test]
-    fn block_cyclic_math_matches_algorithm3() {
-        let d = BlockCyclicDist::new(1024, 4);
-        assert_eq!(d.block_of(0), 0);
-        assert_eq!(d.block_of(1023), 0);
-        assert_eq!(d.block_of(1024), 1);
-        assert_eq!(d.offset_of(1025), 1);
-        assert_eq!(d.blocks_for(0), 0);
-        assert_eq!(d.blocks_for(1), 1);
-        assert_eq!(d.blocks_for(1024), 1);
-        assert_eq!(d.blocks_for(1025), 2);
-    }
-
-    #[test]
-    fn block_cyclic_round_robin_from_offset() {
-        let d = BlockCyclicDist::new(8, 3);
-        assert_eq!(d.locale_of_block(0, LocaleId::new(2)), LocaleId::new(2));
-        assert_eq!(d.locale_of_block(1, LocaleId::new(2)), LocaleId::new(0));
-        assert_eq!(d.locale_of_block(4, LocaleId::new(2)), LocaleId::new(0));
     }
 
     #[test]

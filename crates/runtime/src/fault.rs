@@ -421,12 +421,6 @@ impl FaultPlan {
         self.trigger(name, 0, 1, action)
     }
 
-    /// Mark `locale` down (builder form of [`set_down`](Self::set_down)).
-    pub fn with_locale_down(self, locale: LocaleId) -> Self {
-        self.set_down(locale, true);
-        self
-    }
-
     /// Mark `locale` down or back up at runtime.
     pub fn set_down(&self, locale: LocaleId, down: bool) {
         assert!(locale.index() < MAX_FAULT_LOCALES);
@@ -818,8 +812,8 @@ fn spin_units(units: u64) {
 /// failures with decorrelated-jitter spin-then-yield backoff until the
 /// attempt budget or the time budget runs out.
 ///
-/// The jitter sequence is a pure function of [`jitter_seed`]
-/// (`RetryPolicy::jitter_seed`): replaying an operation with the same seed
+/// The jitter sequence is a pure function of
+/// [`jitter_seed`](RetryPolicy::jitter_seed): replaying an operation with the same seed
 /// replays the same waits, which keeps fault-plan fingerprints and the
 /// deterministic checker stable across runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

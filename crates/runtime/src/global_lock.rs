@@ -10,10 +10,10 @@
 //! paper's `SyncArray` degrades as locales are added: "remote tasks must
 //! contest for the same lock".
 
-use crate::comm::CommLayer;
 use crate::locale::LocaleId;
 use crate::task;
 use crate::transport::CommMessage;
+use crate::Cluster;
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_analysis::sync::{Mutex, MutexGuard};
 use std::sync::Arc;
@@ -22,20 +22,15 @@ use std::sync::Arc;
 pub struct GlobalLock {
     home: LocaleId,
     inner: Mutex<()>,
-    comm: Option<Arc<CommLayerRef>>,
+    cluster: Arc<Cluster>,
     acquisitions: AtomicU64,
     remote_acquisitions: AtomicU64,
-}
-
-/// Internal: keep the comm layer reachable without borrowing the cluster.
-struct CommLayerRef {
-    cluster: Arc<crate::Cluster>,
 }
 
 impl GlobalLock {
     /// A lock homed on `home` that charges remote acquisitions through the
     /// given cluster's communication layer.
-    pub fn new(cluster: &Arc<crate::Cluster>, home: LocaleId) -> Self {
+    pub fn new(cluster: &Arc<Cluster>, home: LocaleId) -> Self {
         assert!(
             home.index() < cluster.num_locales(),
             "lock home {home} outside cluster"
@@ -43,21 +38,7 @@ impl GlobalLock {
         GlobalLock {
             home,
             inner: Mutex::new(()),
-            comm: Some(Arc::new(CommLayerRef {
-                cluster: Arc::clone(cluster),
-            })),
-            acquisitions: AtomicU64::new(0),
-            remote_acquisitions: AtomicU64::new(0),
-        }
-    }
-
-    /// A detached lock (no communication accounting) homed on locale 0 —
-    /// handy in unit tests of higher layers.
-    pub fn detached() -> Self {
-        GlobalLock {
-            home: LocaleId::ZERO,
-            inner: Mutex::new(()),
-            comm: None,
+            cluster: Arc::clone(cluster),
             acquisitions: AtomicU64::new(0),
             remote_acquisitions: AtomicU64::new(0),
         }
@@ -69,64 +50,39 @@ impl GlobalLock {
         self.home
     }
 
-    fn comm(&self) -> Option<&CommLayer> {
-        self.comm.as_deref().map(|r| r.cluster.comm())
-    }
-
     /// Acquire the lock, blocking. A task on a locale other than
     /// [`home`](Self::home) pays a round-trip to reach the lock word.
     pub fn acquire(&self) -> GlobalLockGuard<'_> {
-        let from = task::current_locale();
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if from != self.home {
-            self.remote_acquisitions.fetch_add(1, Ordering::Relaxed);
-            if let Some(comm) = self.comm() {
-                // Reaching the remote lock word is one LockAcquire message,
-                // which lowers to the GET (read/try) + PUT (RMW write-back)
-                // round trip a remote compare-and-swap costs on the wire.
-                let _ = comm.send(from, self.home, CommMessage::LockAcquire);
-            }
-        }
-        GlobalLockGuard {
-            lock: self,
-            _guard: self.inner.lock(),
-        }
+        self.charge_acquire();
+        self.guard(self.inner.lock())
     }
 
-    /// Try to acquire without blocking.
-    pub fn try_acquire(&self) -> Option<GlobalLockGuard<'_>> {
-        let guard = self.inner.try_lock()?;
-        let from = task::current_locale();
-        self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if from != self.home {
-            self.remote_acquisitions.fetch_add(1, Ordering::Relaxed);
-            if let Some(comm) = self.comm() {
-                let _ = comm.send(from, self.home, CommMessage::LockAcquire);
-            }
-        }
-        Some(GlobalLockGuard {
-            lock: self,
-            _guard: guard,
-        })
-    }
-
-    /// Try to acquire, giving up after `timeout`. The bounded wait is what
-    /// keeps a resize from hanging forever behind a wedged or panicked
-    /// peer; communication is charged only on success.
+    /// Try to acquire, giving up after `timeout` (`Duration::ZERO` tries
+    /// once without blocking). The bounded wait is what keeps a resize
+    /// from hanging forever behind a wedged or panicked peer;
+    /// communication is charged only on success.
     pub fn try_acquire_for(&self, timeout: std::time::Duration) -> Option<GlobalLockGuard<'_>> {
         let guard = self.inner.try_lock_for(timeout)?;
-        let from = task::current_locale();
+        self.charge_acquire();
+        Some(self.guard(guard))
+    }
+
+    /// Count one acquisition; a remote one also pays one LockAcquire
+    /// message, which lowers to the GET (read/try) + PUT (RMW write-back)
+    /// round trip a remote compare-and-swap costs on the wire.
+    fn charge_acquire(&self) {
         self.acquisitions.fetch_add(1, Ordering::Relaxed);
-        if from != self.home {
+        if task::current_locale() != self.home {
             self.remote_acquisitions.fetch_add(1, Ordering::Relaxed);
-            if let Some(comm) = self.comm() {
-                let _ = comm.send(from, self.home, CommMessage::LockAcquire);
-            }
+            let _ = self.cluster.send_to(self.home, CommMessage::LockAcquire);
         }
-        Some(GlobalLockGuard {
+    }
+
+    fn guard<'a>(&'a self, guard: MutexGuard<'a, ()>) -> GlobalLockGuard<'a> {
+        GlobalLockGuard {
             lock: self,
             _guard: guard,
-        })
+        }
     }
 
     /// Whether some task currently holds the lock.
@@ -164,24 +120,26 @@ pub struct GlobalLockGuard<'a> {
 
 impl Drop for GlobalLockGuard<'_> {
     fn drop(&mut self) {
-        let from = task::current_locale();
-        if from != self.lock.home {
-            if let Some(comm) = self.lock.comm() {
-                let _ = comm.send(from, self.lock.home, CommMessage::LockRelease);
-            }
-        }
+        let lock = self.lock;
+        let _ = lock.cluster.send_to(lock.home, CommMessage::LockRelease);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Cluster, Topology};
+    use crate::Topology;
     use rcuarray_analysis::atomic::AtomicUsize;
+    use std::time::Duration;
+
+    /// A lock on a one-locale cluster: every acquisition is local.
+    fn local_lock() -> GlobalLock {
+        GlobalLock::new(&Cluster::with_locales(1), LocaleId::ZERO)
+    }
 
     #[test]
     fn provides_mutual_exclusion() {
-        let lock = Arc::new(GlobalLock::detached());
+        let lock = Arc::new(local_lock());
         let counter = Arc::new(AtomicUsize::new(0));
         let mut handles = vec![];
         for _ in 0..8 {
@@ -230,16 +188,16 @@ mod tests {
 
     #[test]
     fn try_acquire_fails_when_held() {
-        let lock = GlobalLock::detached();
+        let lock = local_lock();
         let g = lock.acquire();
-        assert!(lock.try_acquire().is_none());
+        assert!(lock.try_acquire_for(Duration::ZERO).is_none());
         drop(g);
-        assert!(lock.try_acquire().is_some());
+        assert!(lock.try_acquire_for(Duration::ZERO).is_some());
     }
 
     #[test]
     fn is_locked_reflects_state() {
-        let lock = GlobalLock::detached();
+        let lock = local_lock();
         assert!(!lock.is_locked());
         let g = lock.acquire();
         assert!(lock.is_locked());
@@ -256,24 +214,21 @@ mod tests {
 
     #[test]
     fn try_acquire_for_times_out_then_succeeds() {
-        let lock = Arc::new(GlobalLock::detached());
+        let lock = Arc::new(local_lock());
         let g = lock.acquire();
         assert!(
-            lock.try_acquire_for(std::time::Duration::from_millis(30))
-                .is_none(),
+            lock.try_acquire_for(Duration::from_millis(30)).is_none(),
             "held lock must time out"
         );
         drop(g);
-        assert!(lock
-            .try_acquire_for(std::time::Duration::from_millis(30))
-            .is_some());
+        assert!(lock.try_acquire_for(Duration::from_millis(30)).is_some());
     }
 
     #[test]
     fn acquisition_succeeds_after_holder_panics() {
         // The RAII guard releases on unwind and the underlying mutex does
         // not poison, so a panicking resize cannot wedge the cluster lock.
-        let lock = Arc::new(GlobalLock::detached());
+        let lock = Arc::new(local_lock());
         let lock2 = Arc::clone(&lock);
         let t = rcuarray_analysis::thread::spawn(move || {
             let _g = lock2.acquire();
@@ -281,7 +236,7 @@ mod tests {
         });
         assert!(t.join().is_err());
         let g = lock
-            .try_acquire_for(std::time::Duration::from_secs(5))
+            .try_acquire_for(Duration::from_secs(5))
             .expect("lock must be acquirable after a holder panic");
         drop(g);
         assert!(!lock.is_locked());

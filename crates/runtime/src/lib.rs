@@ -14,7 +14,7 @@
 //!   through a privatization id (`Pid`) without communication;
 //! * **communication** — implicit PUT/GET when a task touches memory that
 //!   lives on another locale, and remote-execution (`on` blocks);
-//! * **cluster-wide locks** and **sync variables**.
+//! * **cluster-wide locks**.
 //!
 //! This crate provides all of those as an in-process simulation. Locales are
 //! logical; tasks are OS threads carrying a thread-local locale context; all
@@ -42,7 +42,6 @@
 //! assert_eq!(hits.load(Ordering::Relaxed), 4);
 //! ```
 
-pub mod collectives;
 pub mod comm;
 pub mod dist;
 pub mod fault;
@@ -50,25 +49,21 @@ pub mod global_lock;
 pub mod locale;
 pub mod membership;
 pub mod privatization;
-pub mod sync_var;
 pub mod task;
 pub mod topology;
 pub mod transport;
 
-pub use collectives::{all_reduce, broadcast, reduce, ClusterBarrier};
 pub use comm::{CommLayer, CommStats, FaultStats, LatencyModel, LinkStats};
-pub use dist::{BlockCyclicDist, BlockDist, RoundRobinCounter};
+pub use dist::{BlockDist, RoundRobinCounter};
 pub use fault::{CommError, FaultAction, FaultEvent, FaultPlan, OpKind, RetryPolicy};
 pub use global_lock::{GlobalLock, GlobalLockGuard};
 pub use locale::{Locale, LocaleId};
 pub use membership::{LocaleHealth, Membership, MembershipView};
 pub use privatization::{Pid, PrivHandle, PrivTable};
-pub use sync_var::SyncVar;
 pub use task::{current_locale, TaskScope};
 pub use topology::Topology;
 pub use transport::{
-    CollectiveKind, CommMessage, MeshConfig, MeshTransport, ShmemTransport, Transport,
-    TransportKind,
+    CommMessage, MeshConfig, MeshTransport, ShmemTransport, Transport, TransportKind,
 };
 
 use std::sync::Arc;
@@ -96,7 +91,6 @@ pub struct ClusterBuilder {
     latency: LatencyModel,
     fault_plan: FaultPlan,
     backend: Option<TransportKind>,
-    mesh: MeshConfig,
 }
 
 impl ClusterBuilder {
@@ -133,12 +127,6 @@ impl ClusterBuilder {
         self
     }
 
-    /// Tune the mesh backend (ignored by shmem).
-    pub fn mesh_config(mut self, cfg: MeshConfig) -> Self {
-        self.mesh = cfg;
-        self
-    }
-
     /// Build the cluster. Defaults: 1 locale, no latency, no faults, the
     /// `RCUARRAY_BACKEND` transport (shmem when unset).
     pub fn build(self) -> Arc<Cluster> {
@@ -155,7 +143,7 @@ impl ClusterBuilder {
         let backend = self.backend.unwrap_or_else(TransportKind::from_env);
         Arc::new(Cluster {
             locales,
-            comm: CommLayer::with_transport(n, self.latency, self.fault_plan, backend, self.mesh),
+            comm: CommLayer::with_transport(n, self.latency, self.fault_plan, backend),
             privatization: PrivTable::new(),
             topology,
             membership: Membership::new(n),
@@ -273,7 +261,7 @@ impl Cluster {
     /// no-op (nothing crosses a link, nothing is charged).
     ///
     /// This is the front door the upper layers use for composite traffic
-    /// (lock acquisition, collective legs, service dispatch); plain data
+    /// (lock acquisition, service dispatch); plain data
     /// movement usually reads better as
     /// [`try_get_from`](Self::try_get_from)/[`try_put_to`](Self::try_put_to).
     #[inline]

@@ -24,8 +24,8 @@
 //!   [`Membership::mark_caught_up`] — a rejoiner first replays the
 //!   snapshot publishes and replica writes it missed.
 //! * **Views are epoch-numbered.** Every transition bumps the epoch, so
-//!   two observers can order the views they hold, and collectives can
-//!   tell "the view I sized the barrier with" from "the view now".
+//!   two observers can order the views they hold, and a resize can tell
+//!   "the view I planned block homes with" from "the view now".
 //!
 //! Nothing probes in the background: detection advances only when
 //! [`Cluster::probe_membership`](crate::Cluster::probe_membership) runs.
@@ -43,11 +43,11 @@ pub enum LocaleHealth {
     /// Answering probes; full member of every view.
     Up,
     /// Missed at least `suspect_after` consecutive probes. Still a view
-    /// member (collectives keep addressing it) but one deadline away
+    /// member (new blocks are still placed on it) but one deadline away
     /// from eviction.
     Suspect,
     /// Missed `down_after` consecutive probes. Excluded from views:
-    /// collectives skip it, reads fail over to replicas, recovery
+    /// resizes skip it, reads fail over to replicas, recovery
     /// re-replicates its blocks.
     Down,
     /// Answered a probe after being `Down`. Reachable again but stale;
@@ -56,8 +56,8 @@ pub enum LocaleHealth {
 }
 
 impl LocaleHealth {
-    /// Whether this state participates in membership views (collectives,
-    /// barrier parties, placement of new blocks).
+    /// Whether this state participates in membership views (resize
+    /// publishes, placement of new blocks).
     #[inline]
     pub fn in_view(self) -> bool {
         matches!(self, LocaleHealth::Up | LocaleHealth::Suspect)

@@ -161,12 +161,6 @@ impl<T> PrivHandle<T> {
         &self.instances[locale.index()]
     }
 
-    /// Shared reference to the instance on `locale`, for storing elsewhere.
-    #[inline]
-    pub fn arc_on(&self, locale: LocaleId) -> Arc<T> {
-        Arc::clone(&self.instances[locale.index()])
-    }
-
     /// Number of per-locale instances.
     #[inline]
     pub fn num_instances(&self) -> usize {

@@ -6,7 +6,7 @@
 //! shape a real conduit has:
 //!
 //! * the sender serializes the message into a byte frame
-//!   ([`encode_frame`](super::encode_frame)) and enqueues it on the
+//!   (`encode_frame`) and enqueues it on the
 //!   destination's **bounded** per-sender queue, blocking (with a
 //!   deadline) when the link is full — backpressure, not unbounded
 //!   buffering;
@@ -362,7 +362,6 @@ mod tests {
             LatencyModel::None,
             FaultPlan::disabled(),
             TransportKind::Mesh,
-            MeshConfig::default(),
         )
     }
 

@@ -12,8 +12,7 @@
 //! The seam has three pieces:
 //!
 //! * a typed message vocabulary, [`CommMessage`] — GET/PUT/remote-exec
-//!   plus the composite lock and collective messages the upper layers
-//!   speak. Every message lowers to one or two *wire operations*
+//!   plus the composite lock messages the upper layers speak. Every message lowers to one or two *wire operations*
 //!   ([`CommMessage::wire_ops`]), which is what the fault plan and the
 //!   per-link accounting are keyed on;
 //! * the [`Transport`] trait — `transmit` one message across one
@@ -47,38 +46,12 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// The size on the wire of one lock word (the paper's `WriteLock` state).
 pub const LOCK_WORD_BYTES: usize = 8;
 
-/// Which collective pattern a [`CommMessage::Collective`] belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CollectiveKind {
-    /// Root pushes the payload to a peer (one PUT per non-root locale).
-    Broadcast,
-    /// Root pulls one contribution from a peer (one GET per non-root).
-    Reduce,
-    /// A barrier participant notifies the barrier's home locale.
-    BarrierArrive,
-    /// The barrier's home locale releases a waiting participant.
-    BarrierRelease,
-}
-
-impl CollectiveKind {
-    /// Stable name for logs and metrics.
-    pub fn name(self) -> &'static str {
-        match self {
-            CollectiveKind::Broadcast => "broadcast",
-            CollectiveKind::Reduce => "reduce",
-            CollectiveKind::BarrierArrive => "barrier.arrive",
-            CollectiveKind::BarrierRelease => "barrier.release",
-        }
-    }
-}
-
 /// One typed cross-locale message: the full vocabulary the upper layers
 /// speak to the transport.
 ///
 /// `Get`/`Put`/`RemoteExec` are the primitive PGAS operations; the rest
-/// are the composite messages that used to be hand-rolled as raw
-/// `record_*` pairs at every call site (cluster-lock traffic, collective
-/// traffic). Each message lowers to one or two wire operations via
+/// are the composite cluster-lock messages that used to be hand-rolled
+/// as raw `record_*` pairs at every call site. Each message lowers to one or two wire operations via
 /// [`wire_ops`](Self::wire_ops); the lowering is the single source of
 /// truth for how a message is accounted and fault-checked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,13 +75,6 @@ pub enum CommMessage {
     /// Release a cluster-wide lock homed on the destination: one PUT
     /// writing the unlocked state back.
     LockRelease,
-    /// One leg of a collective (broadcast/reduce/barrier traffic).
-    Collective {
-        /// Which collective pattern this leg belongs to.
-        kind: CollectiveKind,
-        /// Payload size of this leg.
-        bytes: usize,
-    },
 }
 
 impl CommMessage {
@@ -125,12 +91,6 @@ impl CommMessage {
                 (OpKind::Put, LOCK_WORD_BYTES),
             ),
             CommMessage::LockRelease => WireOps::one(OpKind::Put, LOCK_WORD_BYTES),
-            CommMessage::Collective { kind, bytes } => match kind {
-                CollectiveKind::Reduce => WireOps::one(OpKind::Get, bytes),
-                CollectiveKind::Broadcast
-                | CollectiveKind::BarrierArrive
-                | CollectiveKind::BarrierRelease => WireOps::one(OpKind::Put, bytes),
-            },
         }
     }
 
@@ -191,8 +151,8 @@ impl TransportKind {
     }
 
     /// The backend selected by the `RCUARRAY_BACKEND` environment
-    /// variable (`shmem` | `mesh`), defaulting to [`Shmem`]
-    /// (`TransportKind::Shmem`) when unset. Panics on an unrecognized
+    /// variable (`shmem` | `mesh`), defaulting to
+    /// [`Shmem`](TransportKind::Shmem) when unset. Panics on an unrecognized
     /// value — a typo'd backend silently falling back would invalidate
     /// a whole CI matrix leg.
     pub fn from_env() -> Self {
@@ -323,32 +283,21 @@ impl DeliveryLog {
     }
 }
 
-/// Serialized frame layout (the mesh wire format): tag byte, collective
-/// kind byte (`0xFF` when not a collective), send seq (u64 LE), payload
-/// byte count (u64 LE).
-pub(crate) const FRAME_LEN: usize = 18;
+/// Serialized frame layout (the mesh wire format): tag byte, send seq
+/// (u64 LE), payload byte count (u64 LE).
+pub(crate) const FRAME_LEN: usize = 17;
 
 /// Serialize `msg` with send sequence number `seq` into a mesh frame.
 pub(crate) fn encode_frame(msg: &CommMessage, seq: u64) -> Vec<u8> {
-    let (tag, kind, bytes): (u8, u8, u64) = match *msg {
-        CommMessage::Get { bytes } => (0, 0xFF, bytes as u64),
-        CommMessage::Put { bytes } => (1, 0xFF, bytes as u64),
-        CommMessage::RemoteExec => (2, 0xFF, 0),
-        CommMessage::LockAcquire => (3, 0xFF, 0),
-        CommMessage::LockRelease => (4, 0xFF, 0),
-        CommMessage::Collective { kind, bytes } => {
-            let k = match kind {
-                CollectiveKind::Broadcast => 0,
-                CollectiveKind::Reduce => 1,
-                CollectiveKind::BarrierArrive => 2,
-                CollectiveKind::BarrierRelease => 3,
-            };
-            (5, k, bytes as u64)
-        }
+    let (tag, bytes): (u8, u64) = match *msg {
+        CommMessage::Get { bytes } => (0, bytes as u64),
+        CommMessage::Put { bytes } => (1, bytes as u64),
+        CommMessage::RemoteExec => (2, 0),
+        CommMessage::LockAcquire => (3, 0),
+        CommMessage::LockRelease => (4, 0),
     };
     let mut out = Vec::with_capacity(FRAME_LEN);
     out.push(tag);
-    out.push(kind);
     out.extend_from_slice(&seq.to_le_bytes());
     out.extend_from_slice(&bytes.to_le_bytes());
     out
@@ -359,24 +308,14 @@ pub(crate) fn decode_frame(frame: &[u8]) -> Option<(CommMessage, u64)> {
     if frame.len() != FRAME_LEN {
         return None;
     }
-    let seq = u64::from_le_bytes(frame[2..10].try_into().ok()?);
-    let bytes = u64::from_le_bytes(frame[10..18].try_into().ok()?) as usize;
-    let msg = match (frame[0], frame[1]) {
-        (0, 0xFF) => CommMessage::Get { bytes },
-        (1, 0xFF) => CommMessage::Put { bytes },
-        (2, 0xFF) => CommMessage::RemoteExec,
-        (3, 0xFF) => CommMessage::LockAcquire,
-        (4, 0xFF) => CommMessage::LockRelease,
-        (5, k) => CommMessage::Collective {
-            kind: match k {
-                0 => CollectiveKind::Broadcast,
-                1 => CollectiveKind::Reduce,
-                2 => CollectiveKind::BarrierArrive,
-                3 => CollectiveKind::BarrierRelease,
-                _ => return None,
-            },
-            bytes,
-        },
+    let seq = u64::from_le_bytes(frame[1..9].try_into().ok()?);
+    let bytes = u64::from_le_bytes(frame[9..17].try_into().ok()?) as usize;
+    let msg = match frame[0] {
+        0 => CommMessage::Get { bytes },
+        1 => CommMessage::Put { bytes },
+        2 => CommMessage::RemoteExec,
+        3 => CommMessage::LockAcquire,
+        4 => CommMessage::LockRelease,
         _ => return None,
     };
     Some((msg, seq))
@@ -406,25 +345,6 @@ mod tests {
             CommMessage::RemoteExec.wire_ops().as_slice(),
             &[(OpKind::RemoteExec, 0)]
         );
-        assert_eq!(
-            CommMessage::Collective {
-                kind: CollectiveKind::Reduce,
-                bytes: 16
-            }
-            .wire_ops()
-            .as_slice(),
-            &[(OpKind::Get, 16)],
-            "a reduce leg pulls a contribution"
-        );
-        assert_eq!(
-            CommMessage::Collective {
-                kind: CollectiveKind::BarrierArrive,
-                bytes: 8
-            }
-            .wire_ops()
-            .as_slice(),
-            &[(OpKind::Put, 8)]
-        );
         assert_eq!(CommMessage::LockAcquire.primary_op(), OpKind::Get);
     }
 
@@ -436,10 +356,6 @@ mod tests {
             CommMessage::RemoteExec,
             CommMessage::LockAcquire,
             CommMessage::LockRelease,
-            CommMessage::Collective {
-                kind: CollectiveKind::BarrierRelease,
-                bytes: 8,
-            },
         ];
         for (i, msg) in msgs.iter().enumerate() {
             let frame = encode_frame(msg, i as u64 * 7);
@@ -456,15 +372,6 @@ mod tests {
         let mut frame = encode_frame(&CommMessage::RemoteExec, 1);
         frame[0] = 99;
         assert!(decode_frame(&frame).is_none(), "unknown tag");
-        let mut frame = encode_frame(
-            &CommMessage::Collective {
-                kind: CollectiveKind::Broadcast,
-                bytes: 8,
-            },
-            1,
-        );
-        frame[1] = 9;
-        assert!(decode_frame(&frame).is_none(), "unknown collective kind");
     }
 
     #[test]

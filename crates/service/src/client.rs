@@ -101,14 +101,7 @@ mod tests {
     #[test]
     fn call_with_retry_passes_through_success() {
         let cluster = Cluster::new(Topology::new(1, 2));
-        let array = EbrArray::<u64>::with_config(
-            &cluster,
-            Config {
-                block_size: 8,
-                account_comm: false,
-                ..Config::default()
-            },
-        );
+        let array = EbrArray::<u64>::with_config(&cluster, Config::with_block_size(8));
         array.resize(16);
         let service = Service::start(array, ServiceConfig::default());
         let client = service.client();
@@ -126,14 +119,7 @@ mod tests {
     #[test]
     fn clones_share_the_core() {
         let cluster = Cluster::new(Topology::new(1, 2));
-        let array = EbrArray::<u64>::with_config(
-            &cluster,
-            Config {
-                block_size: 8,
-                account_comm: false,
-                ..Config::default()
-            },
-        );
+        let array = EbrArray::<u64>::with_config(&cluster, Config::with_block_size(8));
         array.resize(8);
         let service = Service::start(array, ServiceConfig::default());
         let a = service.client();

@@ -143,13 +143,11 @@ impl<T: Element, S: Scheme> Core<T, S> {
         // hangs. Skipping the detector consult at rf=1 keeps the old
         // code path (and its fault-stream draw sequence) bit-identical.
         if !replicated || membership.is_up(target) {
-            let ok = !self.array.config().account_comm
-                || task::current_locale() == target
-                || self
-                    .array
-                    .cluster()
-                    .send_to(target, CommMessage::RemoteExec)
-                    .is_ok();
+            let ok = self
+                .array
+                .cluster()
+                .send_to(target, CommMessage::RemoteExec)
+                .is_ok();
             if ok {
                 return Some(qi);
             }
@@ -168,13 +166,11 @@ impl<T: Element, S: Scheme> Core<T, S> {
             if !membership.is_up(loc) {
                 continue;
             }
-            let ok = !self.array.config().account_comm
-                || task::current_locale() == loc
-                || self
-                    .array
-                    .cluster()
-                    .send_to(loc, CommMessage::RemoteExec)
-                    .is_ok();
+            let ok = self
+                .array
+                .cluster()
+                .send_to(loc, CommMessage::RemoteExec)
+                .is_ok();
             if ok {
                 metrics::FAILOVERS.inc();
                 metrics::FAILOVER_ROUTE_NS.record(t0.elapsed().as_nanos() as u64);
@@ -506,14 +502,7 @@ mod tests {
 
     fn small_array(locales: usize) -> EbrArray<u64> {
         let cluster = Cluster::new(Topology::new(locales, 2));
-        let array = EbrArray::with_config(
-            &cluster,
-            Config {
-                block_size: 8,
-                account_comm: false,
-                ..Config::default()
-            },
-        );
+        let array = EbrArray::with_config(&cluster, Config::with_block_size(8));
         array.resize(8 * locales * 2);
         array
     }
@@ -663,7 +652,6 @@ mod tests {
             &cluster,
             Config {
                 block_size: 8,
-                account_comm: true,
                 replication_factor: 2,
                 retry: RetryPolicy::new(2, Duration::from_millis(100)),
                 ..Config::default()
@@ -715,14 +703,7 @@ mod tests {
     fn qsbr_service_roundtrips_too() {
         let _serial = METRICS_LOCK.lock();
         let cluster = Cluster::new(Topology::new(2, 2));
-        let array = QsbrArray::<u64>::with_config(
-            &cluster,
-            Config {
-                block_size: 8,
-                account_comm: false,
-                ..Config::default()
-            },
-        );
+        let array = QsbrArray::<u64>::with_config(&cluster, Config::with_block_size(8));
         array.resize(32);
         let service = Service::start(array, ServiceConfig::default());
         let client = service.client();

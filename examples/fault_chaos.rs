@@ -58,7 +58,6 @@ fn main() {
     let config = Config {
         block_size: 64,
         retry: RetryPolicy::new(8, Duration::from_millis(100)),
-        account_comm: true,
         ..Config::default()
     };
     let array: QsbrArray<u64> = QsbrArray::with_config(&cluster, config);

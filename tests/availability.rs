@@ -43,7 +43,6 @@ fn rf2_cluster(kind: TransportKind, plan: FaultPlan) -> Arc<Cluster> {
 fn rf2_cfg() -> Config {
     Config {
         block_size: 8,
-        account_comm: true,
         replication_factor: 2,
         retry: RetryPolicy::new(8, Duration::from_secs(5)),
         ..Config::default()

@@ -16,15 +16,11 @@ struct Variant {
 }
 
 fn variants(cluster: &Arc<Cluster>) -> Vec<Variant> {
-    let cfg = Config {
-        block_size: 16,
-        account_comm: false,
-        ..Config::default()
-    };
+    let cfg = Config::with_block_size(16);
     let ebr = Arc::new(EbrArray::<u64>::with_config(cluster, cfg));
     let qsbr = Arc::new(QsbrArray::<u64>::with_config(cluster, cfg));
-    let unsafe_a = Arc::new(UnsafeArray::<u64>::with_accounting(cluster, false));
-    let sync_a = Arc::new(SyncArray::<u64>::with_accounting(cluster, false));
+    let unsafe_a = Arc::new(UnsafeArray::<u64>::new(cluster));
+    let sync_a = Arc::new(SyncArray::<u64>::new(cluster));
     let hz = Arc::new(HazardArray::<u64>::with_config(cluster, cfg));
 
     vec![

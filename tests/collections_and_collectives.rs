@@ -1,22 +1,16 @@
 //! Integration of the higher layers: the §VI collections on the RCUArray
-//! backbone, owner-computes iteration, bulk transfers, atomic element
-//! RMW, and the runtime's collectives — all on one shared cluster.
+//! backbone, owner-computes iteration, bulk transfers and atomic element
+//! RMW — all on one shared cluster.
 
 use rcuarray_repro::prelude::*;
-use rcuarray_runtime::{all_reduce, broadcast, reduce, ClusterBarrier};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn cluster() -> Arc<Cluster> {
     Cluster::new(Topology::new(4, 2))
 }
 
 fn cfg() -> Config {
-    Config {
-        block_size: 16,
-        account_comm: false,
-        ..Config::default()
-    }
+    Config::with_block_size(16)
 }
 
 #[test]
@@ -27,38 +21,28 @@ fn owner_computes_sum_equals_global_sum() {
     for i in 0..a.capacity() {
         a.write(i, i as u64);
     }
-    // Per-locale partial sums via owner-computes iteration, folded with a
-    // reduce collective — a miniature distributed aggregation pipeline.
-    let partials: Arc<parking_lot_mutex::Mutex<Vec<u64>>> = Default::default();
     a.forall_local(|idx, r| {
         assert_eq!(r.get(), idx as u64);
     });
-    // Gather per-locale sums with the collective.
-    let total = reduce(
-        &c,
-        LocaleId::ZERO,
-        |_| {
-            a.local_blocks()
-                .iter()
-                .flat_map(|(bi, _)| {
-                    let start = bi * 16;
-                    (start..start + 16).map(|i| a.read(i))
-                })
-                .sum::<u64>()
-        },
-        |acc, x| acc + x,
-        0u64,
-    );
+    // Per-locale partial sums via owner-computes iteration, one task per
+    // locale, folded on the caller — a miniature distributed aggregation.
+    let partials = Mutex::new(Vec::new());
+    c.coforall_locales(|_| {
+        let local: u64 = a
+            .local_blocks()
+            .iter()
+            .flat_map(|(bi, _)| {
+                let start = bi * 16;
+                (start..start + 16).map(|i| a.read(i))
+            })
+            .sum();
+        partials.lock().unwrap().push(local);
+    });
+    let partials = partials.into_inner().unwrap();
+    assert_eq!(partials.len(), c.num_locales());
     let n = a.capacity() as u64;
-    assert_eq!(total, n * (n - 1) / 2);
-    drop(partials);
+    assert_eq!(partials.iter().sum::<u64>(), n * (n - 1) / 2);
     a.checkpoint();
-}
-
-// Tiny local alias so the test above can use a default mutex without
-// importing parking_lot at the test level.
-mod parking_lot_mutex {
-    pub type Mutex<T> = std::sync::Mutex<T>;
 }
 
 #[test]
@@ -93,43 +77,6 @@ fn bulk_ops_interoperate_with_dist_vector() {
         assert_eq!(v.get(i), 99);
     }
     v.checkpoint();
-}
-
-#[test]
-fn barrier_coordinates_phases_across_locales() {
-    let c = cluster();
-    let a: QsbrArray<u64> = QsbrArray::with_config(&c, cfg());
-    a.resize(c.topology().total_tasks());
-    let barrier = ClusterBarrier::new(LocaleId::ZERO, c.topology().total_tasks());
-    let phase2_sum = AtomicUsize::new(0);
-    c.forall_tasks(|loc, task| {
-        let slot = loc.index() * c.topology().tasks_per_locale() + task;
-        // Phase 1: every task writes its slot.
-        a.write(slot, slot as u64 + 1);
-        barrier.wait(&c);
-        // Phase 2: every task's write must be visible to everyone.
-        // (Capacity is block-rounded; unwritten slots stay zero.)
-        let sum: u64 = (0..a.capacity()).map(|i| a.read(i)).sum();
-        let t = c.topology().total_tasks() as u64;
-        assert_eq!(sum, t * (t + 1) / 2, "phase-1 writes missing after barrier");
-        phase2_sum.fetch_add(1, Ordering::Relaxed);
-        a.checkpoint();
-    });
-    assert_eq!(
-        phase2_sum.load(Ordering::Relaxed),
-        c.topology().total_tasks()
-    );
-}
-
-#[test]
-fn broadcast_and_all_reduce_round_trip() {
-    let c = cluster();
-    let copies = broadcast(&c, LocaleId::new(2), &"config-v2".to_string());
-    assert_eq!(copies.len(), 4);
-    assert!(copies.iter().all(|s| s == "config-v2"));
-
-    let totals = all_reduce(&c, |loc| loc.index() as u64 + 1, |a, b| a + b, 0);
-    assert_eq!(totals, vec![10, 10, 10, 10]);
 }
 
 #[test]

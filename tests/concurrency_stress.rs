@@ -7,11 +7,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn cfg() -> Config {
-    Config {
-        block_size: 32,
-        account_comm: false,
-        ..Config::default()
-    }
+    Config::with_block_size(32)
 }
 
 /// Readers verify a per-slot invariant (value is either 0 or encodes its

@@ -11,11 +11,7 @@ fn cluster() -> Arc<Cluster> {
 }
 
 fn cfg() -> Config {
-    Config {
-        block_size: 16,
-        account_comm: false,
-        ..Config::default()
-    }
+    Config::with_block_size(16)
 }
 
 /// A deterministic mixed op sequence applied to any array-like object.

@@ -7,14 +7,7 @@ use std::sync::Arc;
 #[test]
 fn rcuarray_blocks_round_robin_across_many_resizes() {
     let cluster = Cluster::new(Topology::new(5, 1));
-    let a: QsbrArray<u64> = QsbrArray::with_config(
-        &cluster,
-        Config {
-            block_size: 8,
-            account_comm: false,
-            ..Config::default()
-        },
-    );
+    let a: QsbrArray<u64> = QsbrArray::with_config(&cluster, Config::with_block_size(8));
     // 13 resizes of varying block counts.
     for n in 1..=13usize {
         a.resize(8 * (n % 3 + 1));
@@ -35,14 +28,7 @@ fn rcuarray_blocks_round_robin_across_many_resizes() {
 #[test]
 fn allocation_accounting_attributes_to_home_locales() {
     let cluster = Cluster::new(Topology::new(4, 1));
-    let a: QsbrArray<u64> = QsbrArray::with_config(
-        &cluster,
-        Config {
-            block_size: 16,
-            account_comm: false,
-            ..Config::default()
-        },
-    );
+    let a: QsbrArray<u64> = QsbrArray::with_config(&cluster, Config::with_block_size(16));
     a.resize(16 * 8); // 8 blocks over 4 locales: 2 each
                       // Bytes per cell is the size of the element representation, which is
                       // larger than the payload when instrumentation is compiled in.
@@ -237,6 +223,53 @@ fn retries_are_charged_to_the_initiating_locale() {
         "first attempt + retries are all attributed to the initiator"
     );
     assert_eq!(a.stats().fallback_reads, 1, "the read degraded locally");
+    a.checkpoint();
+}
+
+#[test]
+fn element_refs_retry_and_count_faulted_charges_like_indexed_access() {
+    // A GET or PUT through an `ElemRef` rides the array's own charge
+    // path: retried per `Config::retry`, and counted as a fallback read /
+    // degraded write once the budget is spent.
+    let plan = FaultPlan::new(13).fail_gets(1.0).fail_puts(1.0);
+    let cluster = Cluster::builder()
+        .topology(Topology::new(2, 1))
+        .fault_plan(plan)
+        .build();
+    let retry = RetryPolicy::new(3, std::time::Duration::from_secs(5));
+    let a: QsbrArray<u64> = QsbrArray::with_config(
+        &cluster,
+        Config {
+            block_size: 8,
+            retry,
+            ..Config::default()
+        },
+    );
+    a.resize(16); // block 0 homed on L0
+    let l1 = LocaleId::new(1);
+    let before = a.stats();
+    let retries_before = cluster.comm().fault_stats_for(l1).retries;
+    rcuarray_runtime::task::with_locale(l1, || {
+        let r = a.get_ref(0);
+        let _ = r.get();
+        let after_get = a.stats();
+        assert_eq!(after_get.fallback_reads, before.fallback_reads + 1);
+        assert_eq!(
+            cluster.comm().fault_stats_for(l1).retries,
+            retries_before + u64::from(retry.max_retries),
+            "the GET spends the initiator's whole retry budget"
+        );
+        r.set(5);
+    });
+    let after = a.stats();
+    assert_eq!(after.fallback_reads, before.fallback_reads + 1);
+    assert_eq!(after.degraded_writes, before.degraded_writes + 1);
+    assert_eq!(
+        cluster.comm().fault_stats_for(l1).retries,
+        retries_before + 2 * u64::from(retry.max_retries),
+        "the PUT spends a second whole budget"
+    );
+    assert_eq!(a.read(0), 5, "the degraded store still lands");
     a.checkpoint();
 }
 

@@ -28,7 +28,6 @@ fn faulty_cluster(locales: usize, plan: FaultPlan) -> Arc<Cluster> {
 fn cfg() -> Config {
     Config {
         block_size: 8,
-        account_comm: true,
         retry: RetryPolicy::new(8, Duration::from_secs(5)),
         ..Config::default()
     }

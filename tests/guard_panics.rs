@@ -10,11 +10,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 fn cfg() -> Config {
-    Config {
-        block_size: 8,
-        account_comm: false,
-        ..Config::default()
-    }
+    Config::with_block_size(8)
 }
 
 fn panicking_pinned_reader_recovers<S: Scheme>() {

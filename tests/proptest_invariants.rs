@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use rcuarray_qsbr::DeferList;
 use rcuarray_repro::prelude::*;
-use rcuarray_runtime::{BlockCyclicDist, BlockDist, RoundRobinCounter};
+use rcuarray_runtime::{BlockDist, RoundRobinCounter};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -110,17 +110,32 @@ proptest! {
 
     #[test]
     fn block_cyclic_locate_round_trips(
-        idx in 0usize..100_000,
-        block_size in 1usize..5000,
+        idx in 0usize..2_000,
+        block_size in 1usize..64,
         locales in 1usize..9,
     ) {
-        let d = BlockCyclicDist::new(block_size, locales);
-        let b = d.block_of(idx);
-        let off = d.offset_of(idx);
-        prop_assert_eq!(b * block_size + off, idx);
-        prop_assert!(off < block_size);
-        let loc = d.locale_of_block(b, LocaleId::ZERO);
-        prop_assert!(loc.index() < locales);
+        // RCUArray's own block-cyclic layout (§III-D): one resize from
+        // empty deals block `idx / block_size` round-robin from locale 0,
+        // and `idx % block_size` is its offset within that block.
+        let cluster = Cluster::with_locales(locales);
+        let a: QsbrArray<u64> =
+            QsbrArray::with_config(&cluster, Config::with_block_size(block_size));
+        a.resize(idx + 1);
+        let r = a.get_ref(idx);
+        prop_assert_eq!(r.home().index(), (idx / block_size) % locales);
+        // The reference and the indexed path resolve to the same cell,
+        // and no other index does.
+        r.set(idx as u64 + 1);
+        prop_assert_eq!(a.read(idx), idx as u64 + 1);
+        let hits: Vec<usize> = a
+            .to_vec()
+            .iter()
+            .enumerate()
+            .filter(|&(_, &v)| v != 0)
+            .map(|(i, _)| i)
+            .collect();
+        prop_assert_eq!(hits, vec![idx]);
+        a.checkpoint();
     }
 }
 
@@ -148,7 +163,7 @@ proptest! {
     #[test]
     fn array_matches_vec_model(ops in prop::collection::vec(op_strategy(), 1..120)) {
         let cluster = Cluster::new(Topology::new(2, 1));
-        let cfg = Config { block_size: 16, account_comm: false, ..Config::default() };
+        let cfg = Config::with_block_size(16);
         let ebr: EbrArray<u64> = EbrArray::with_config(&cluster, cfg);
         let qsbr: QsbrArray<u64> = QsbrArray::with_config(&cluster, cfg);
         let mut model: Vec<u64> = Vec::new();
@@ -224,7 +239,7 @@ proptest! {
         let cluster = Cluster::new(Topology::new(2, 1));
         let a: QsbrArray<u64> = QsbrArray::with_config(
             &cluster,
-            Config { block_size: 16, account_comm: false, ..Config::default() },
+            Config::with_block_size(16),
         );
         a.resize(64);
         let refs: Vec<(usize, ElemRef<'_, u64>)> =

@@ -73,14 +73,7 @@ fn qsbr_array_snapshot_count_is_bounded_by_checkpointing() {
     // A resizer that checkpoints keeps pending snapshots bounded even
     // under continuous growth (the Fig. 4 memory-vs-throughput story).
     let cluster = Cluster::new(Topology::new(2, 1));
-    let a: QsbrArray<u64> = QsbrArray::with_config(
-        &cluster,
-        Config {
-            block_size: 8,
-            account_comm: false,
-            ..Config::default()
-        },
-    );
+    let a: QsbrArray<u64> = QsbrArray::with_config(&cluster, Config::with_block_size(8));
     for i in 0..100 {
         a.resize(8);
         if i % 4 == 3 {

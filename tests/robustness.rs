@@ -23,7 +23,6 @@ fn cluster(locales: usize) -> Arc<Cluster> {
 fn bounded_cfg(cap: u64, stall: StallPolicy) -> Config {
     Config {
         block_size: 8,
-        account_comm: false,
         pressure: PressureConfig::bounded(cap),
         stall,
         ..Config::default()

@@ -28,11 +28,7 @@ fn cluster(locales: usize) -> Arc<Cluster> {
 }
 
 fn small_cfg() -> Config {
-    Config {
-        block_size: 8,
-        account_comm: false,
-        ..Config::default()
-    }
+    Config::with_block_size(8)
 }
 
 /// Poll `checkpoint` until the reclaim backlog fully drains.
@@ -269,13 +265,7 @@ fn slow_locale_causes_sheds_then_service_recovers() {
         .topology(Topology::new(2, 2))
         .fault_plan(plan)
         .build();
-    let array: EbrArray<u64> = EbrArray::with_config(
-        &c,
-        Config {
-            account_comm: true,
-            ..small_cfg()
-        },
-    );
+    let array: EbrArray<u64> = EbrArray::with_config(&c, small_cfg());
     array.resize(32);
 
     let service = Service::start(

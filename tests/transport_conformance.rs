@@ -46,30 +46,9 @@ fn run_script(c: &Cluster) -> Vec<Result<(), CommError>> {
         (1, 0, CommMessage::RemoteExec),
         (1, 2, CommMessage::LockAcquire),
         (1, 2, CommMessage::LockRelease),
-        (
-            2,
-            0,
-            CommMessage::Collective {
-                kind: CollectiveKind::Broadcast,
-                bytes: 24,
-            },
-        ),
-        (
-            2,
-            1,
-            CommMessage::Collective {
-                kind: CollectiveKind::Reduce,
-                bytes: 16,
-            },
-        ),
-        (
-            0,
-            1,
-            CommMessage::Collective {
-                kind: CollectiveKind::BarrierArrive,
-                bytes: 8,
-            },
-        ),
+        (2, 0, CommMessage::Put { bytes: 24 }),
+        (2, 1, CommMessage::Get { bytes: 16 }),
+        (0, 1, CommMessage::Put { bytes: 8 }),
     ];
     msgs.iter()
         .map(|&(from, to, msg)| c.comm().send(l(from), l(to), msg))
@@ -246,14 +225,7 @@ fn workload_stats_match_across_backends() {
     let mut per_backend = Vec::new();
     for kind in BOTH {
         let c = cluster_on(kind, 2, FaultPlan::disabled());
-        let a: QsbrArray<u64> = QsbrArray::with_config(
-            &c,
-            Config {
-                block_size: 8,
-                account_comm: true,
-                ..Config::default()
-            },
-        );
+        let a: QsbrArray<u64> = QsbrArray::with_config(&c, Config::with_block_size(8));
         a.resize(32);
         for i in 0..32 {
             a.write(i, i as u64);
@@ -392,14 +364,7 @@ fn mesh_reorder_rule_perturbs_delivery_order_only() {
 #[test]
 fn service_degrades_answers_not_availability_under_partition() {
     let c = cluster_on(TransportKind::Mesh, 2, FaultPlan::new(5));
-    let array: EbrArray<u64> = EbrArray::with_config(
-        &c,
-        Config {
-            block_size: 8,
-            account_comm: true,
-            ..Config::default()
-        },
-    );
+    let array: EbrArray<u64> = EbrArray::with_config(&c, Config::with_block_size(8));
     array.resize(16); // block 0 → L0, block 1 → L1
     for i in 0..16 {
         array.write(i, 100 + i as u64);
