@@ -1,12 +1,15 @@
 //! Deterministic-checker harnesses for the serving layer.
 //!
-//! Two properties, each under exhaustive (`Policy::Dpor`) exploration:
+//! Three properties, each under exhaustive (`Policy::Dpor`) exploration:
 //!
 //! 1. **Admission conservation.** Producers racing a draining worker
 //!    through the service's real `BoundedQueue` never lose or duplicate
 //!    a request: every push is either accepted (and later drained) or
 //!    refused, under every interleaving.
-//! 2. **Shed-vs-flush completion is at-most-once.** A shedder dropping
+//! 2. **Batch drain.** The worker's own drain, `pop_batch` with a zero
+//!    timeout, conserves requests in FIFO order and never parks: a park
+//!    with no producer left to notify would be reported as a deadlock.
+//! 3. **Shed-vs-flush completion is at-most-once.** A shedder dropping
 //!    an expired request races the worker flushing the same request's
 //!    batch. Without the ticket's at-most-once guard the two completions
 //!    collide — modeled as a `CheckedCell` double-write, DPOR finds the
@@ -21,8 +24,9 @@
 use rcuarray_analysis::atomic::{AtomicUsize, Ordering};
 use rcuarray_analysis::sync::Mutex;
 use rcuarray_analysis::{thread, CheckedCell, Checker, Config, Policy, RaceKind};
-use rcuarray_service::BoundedQueue;
+use rcuarray_service::{BoundedQueue, PopResult};
 use std::sync::Arc;
+use std::time::Duration;
 
 fn dpor_config(budget: usize) -> Config {
     Config {
@@ -84,6 +88,83 @@ fn queue_admission_conserves_requests_under_dpor() {
         assert_eq!(drained, accepted, "every accepted request is drained");
     });
     assert!(report.is_clean(), "admission must be race-free: {report}");
+    assert!(
+        report.iterations > 1,
+        "DPOR explored more than one schedule"
+    );
+}
+
+/// A producer pushes three requests into a capacity-2 queue while a
+/// worker drains it the way a service worker does, `pop_batch(2, ..)`,
+/// here with a zero timeout: accepted + refused == pushed, the worker
+/// drains exactly the accepted requests in push order, no batch exceeds
+/// two, no access is racy, and no schedule leaves the worker parked.
+#[test]
+fn pop_batch_drain_conserves_fifo_order_without_parking_under_dpor() {
+    let report = Checker::new(dpor_config(512)).run(|| {
+        let q = Arc::new(BoundedQueue::<u64>::with_capacity(2));
+
+        let producer = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut accepted = Vec::new();
+                let mut refused = 0usize;
+                for i in 0..3u64 {
+                    match q.try_push(i) {
+                        Ok(()) => accepted.push(i),
+                        Err(_) => refused += 1,
+                    }
+                }
+                (accepted, refused)
+            })
+        };
+        let drain = |q: &BoundedQueue<u64>, out: &mut Vec<u64>| {
+            let before = out.len();
+            match q.pop_batch(2, Duration::ZERO, out) {
+                PopResult::Item(n) => {
+                    assert!((1..=2).contains(&n), "a batch holds 1..=max items");
+                    assert_eq!(out.len(), before + n);
+                }
+                PopResult::TimedOut => assert_eq!(out.len(), before),
+                PopResult::Closed => panic!("the queue is never closed here"),
+            }
+        };
+        let worker = {
+            let q = Arc::clone(&q);
+            thread::spawn(move || {
+                let mut drained = Vec::new();
+                // Bounded drain passes racing the producer; the sweep
+                // below collects what arrives after them.
+                for _ in 0..2 {
+                    drain(&q, &mut drained);
+                    thread::yield_now();
+                }
+                drained
+            })
+        };
+
+        let (accepted, refused) = producer.join().expect("producer");
+        let mut drained = worker.join().expect("worker");
+        for _ in 0..2 {
+            drain(&q, &mut drained);
+        }
+
+        assert_eq!(
+            accepted.len() + refused,
+            3,
+            "every push is accepted xor refused"
+        );
+        assert_eq!(
+            drained, accepted,
+            "the accepted requests, each once, in push order"
+        );
+        assert!(q.is_empty());
+    });
+    assert!(report.is_clean(), "batch drain must be race-free: {report}");
+    assert!(
+        report.deadlocks.is_empty(),
+        "a zero-timeout pop_batch parked: {report}"
+    );
     assert!(
         report.iterations > 1,
         "DPOR explored more than one schedule"

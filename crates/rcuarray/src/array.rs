@@ -906,16 +906,19 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// block-contiguous chunk rather than per element (a bulk GET, which
     /// is how Chapel aggregates slice transfers).
     ///
-    /// # Panics
-    /// Panics when the range end exceeds this locale's current view.
+    /// The read stops at the end of this locale's current view, decided
+    /// inside the read-side critical section: the result is the in-view
+    /// prefix of `range`, shorter than `range.len()` when the range runs
+    /// past it (a concurrent [`truncate`](Self::truncate) can make it so).
     pub fn read_range(&self, range: std::ops::Range<usize>) -> Vec<T> {
         let bs = self.shared.config.block_size;
-        let mut out = Vec::with_capacity(range.len());
         self.with_snapshot(|snap| {
+            let end = range.end.min(snap.capacity(bs));
+            let mut out = Vec::with_capacity(end.saturating_sub(range.start));
             let mut idx = range.start;
-            while idx < range.end {
+            while idx < end {
                 let (block, off) = self.locate(snap, idx);
-                let take = (bs - off).min(range.end - idx);
+                let take = (bs - off).min(end - idx);
                 // SAFETY: registry-owned block.
                 let b = unsafe { block.get() };
                 let home = b.home();
@@ -931,8 +934,8 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 }
                 idx += take;
             }
-        });
-        out
+            out
+        })
     }
 
     /// Bulk-write `values` starting at `start`, charging communication
@@ -973,25 +976,26 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     ///
     /// An empty batch returns immediately without entering the read-side
     /// protocol at all (zero pins) — callers can treat "nothing to do" as
-    /// free. Results are in `indices` order. Communication is charged per
+    /// free. Results are in `indices` order: `None` for an index past the
+    /// end of the pinned snapshot. Bounds are decided inside the critical
+    /// section, so a concurrent [`truncate`](Self::truncate) costs only
+    /// the indices it cut off, never a panic. Communication is charged per
     /// element to each block's home, exactly as [`read`](Self::read)
     /// charges it.
-    ///
-    /// # Panics
-    /// Panics when any index is out of bounds of this locale's view.
-    pub fn read_many(&self, indices: &[usize]) -> Vec<T> {
+    pub fn read_many(&self, indices: &[usize]) -> Vec<Option<T>> {
         if indices.is_empty() {
             return Vec::new();
         }
         let bs = self.shared.config.block_size;
-        let mut out = Vec::with_capacity(indices.len());
         self.with_snapshot(|snap| {
-            for &idx in indices {
-                let (block, off) = self.locate(snap, idx);
-                out.push(self.load_at(idx / bs, block, off));
-            }
-        });
-        out
+            indices
+                .iter()
+                .map(|&idx| {
+                    let block = snap.try_block(idx / bs)?;
+                    Some(self.load_at(idx / bs, block, idx % bs))
+                })
+                .collect()
+        })
     }
 
     /// Batched update: apply every `(index, value)` assignment in
@@ -1001,19 +1005,26 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// registry-owned blocks (Lemma 6), they remain visible in every
     /// later snapshot. An empty batch performs no pin.
     ///
-    /// # Panics
-    /// Panics when any index is out of bounds of this locale's view.
-    pub fn write_many(&self, entries: &[(usize, T)]) {
+    /// Returns, in `entries` order, whether each store landed: an entry
+    /// past the end of the pinned snapshot is skipped (`false`), decided
+    /// inside the critical section as in `read_many`.
+    pub fn write_many(&self, entries: &[(usize, T)]) -> Vec<bool> {
         if entries.is_empty() {
-            return;
+            return Vec::new();
         }
         let bs = self.shared.config.block_size;
         self.with_snapshot(|snap| {
-            for &(idx, value) in entries {
-                let (block, off) = self.locate(snap, idx);
-                self.store_at(idx / bs, block, off, value);
-            }
-        });
+            entries
+                .iter()
+                .map(|&(idx, value)| {
+                    let Some(block) = snap.try_block(idx / bs) else {
+                        return false;
+                    };
+                    self.store_at(idx / bs, block, idx % bs, value);
+                    true
+                })
+                .collect()
+        })
     }
 
     /// Announce a quiescent state for the calling thread (a QSBR
@@ -1733,7 +1744,11 @@ mod tests {
         }
         let base = a.stats().reclaim.guards;
         let got = a.read_many(&[0, 3, 7, 1]);
-        assert_eq!(got, vec![0, 3, 7, 1], "results follow batch order");
+        assert_eq!(
+            got,
+            vec![Some(0), Some(3), Some(7), Some(1)],
+            "results follow batch order"
+        );
         assert_eq!(
             a.stats().reclaim.guards,
             base + 1,
@@ -1752,7 +1767,7 @@ mod tests {
         let a: EbrArray<u64> = RcuArray::with_config(&c, small_config());
         a.resize(8);
         let base = a.stats().reclaim.guards;
-        a.write_many(&[(0, 10), (5, 15), (7, 17)]);
+        assert_eq!(a.write_many(&[(0, 10), (5, 15), (7, 17)]), vec![true; 3]);
         assert_eq!(
             a.stats().reclaim.guards,
             base + 1,
@@ -1766,7 +1781,7 @@ mod tests {
         let q: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
         q.resize(8);
         q.write_many(&[(0, 1), (1, 2)]);
-        assert_eq!(q.read_many(&[0, 1]), vec![1, 2]);
+        assert_eq!(q.read_many(&[0, 1]), vec![Some(1), Some(2)]);
         assert_eq!(q.stats().reclaim.guards, 0);
     }
 
@@ -1777,7 +1792,7 @@ mod tests {
         a.resize(8);
         let base = a.stats().reclaim.guards;
         assert!(a.read_many(&[]).is_empty());
-        a.write_many(&[]);
+        assert!(a.write_many(&[]).is_empty());
         assert_eq!(
             a.stats().reclaim.guards,
             base,
@@ -1796,7 +1811,7 @@ mod tests {
         a.write_many(&entries);
         let indices: Vec<usize> = entries.iter().map(|&(i, _)| i).collect();
         let got = a.read_many(&indices);
-        assert_eq!(got, vec![0, 100, 200, 300]);
+        assert_eq!(got, vec![Some(0), Some(100), Some(200), Some(300)]);
         assert_eq!(
             a.stats().reclaim.guards,
             base + 2,
@@ -1805,12 +1820,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn read_many_out_of_bounds_panics() {
+    fn batch_ops_answer_for_indices_past_the_view() {
         let c = cluster(1);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
-        a.resize(8);
-        let _ = a.read_many(&[0, 8]);
+        let a: EbrArray<u64> = RcuArray::with_config(&c, small_config());
+        a.resize(16);
+        let base = a.stats().reclaim.guards;
+        assert_eq!(
+            a.write_many(&[(0, 1), (8, 2), (16, 3)]),
+            vec![true, true, false]
+        );
+        assert_eq!(a.read_many(&[0, 8, 16]), vec![Some(1), Some(2), None]);
+        a.truncate(8);
+        assert_eq!(
+            a.write_many(&[(8, 4), (0, 5)]),
+            vec![false, true],
+            "a truncated index is skipped, its batch-mates still land"
+        );
+        assert_eq!(a.read_many(&[8, 0]), vec![None, Some(5)]);
+        assert_eq!(
+            a.stats().reclaim.guards,
+            base + 4,
+            "still one pin per batch"
+        );
     }
 
     #[test]
@@ -2024,12 +2055,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn bulk_read_oob_panics() {
+    fn bulk_read_stops_at_the_view() {
         let c = cluster(1);
         let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
         a.resize(8);
-        let _ = a.read_range(4..12);
+        a.write_slice(4, &[1, 2, 3, 4]);
+        assert_eq!(a.read_range(4..12), vec![1, 2, 3, 4]);
+        assert!(a.read_range(9..12).is_empty());
     }
 
     #[test]

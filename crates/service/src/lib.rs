@@ -8,10 +8,9 @@
 //! sessions and dispatching them to per-locale worker pools over the
 //! simulated runtime. Three pillars (DESIGN.md §11):
 //!
-//! 1. **Adaptive batching.** Workers coalesce up to
-//!    [`ServiceConfig::max_batch`] requests or wait at most
-//!    [`ServiceConfig::max_delay`] — whichever comes first — and execute
-//!    the whole batch under a *single* read guard via
+//! 1. **Adaptive batching.** A woken worker drains what is queued, up
+//!    to [`ServiceConfig::max_batch`] requests, without waiting for
+//!    more, and executes the whole batch under a *single* read guard via
 //!    `RcuArray::read_many` / `write_many`. The paper's own bottleneck
 //!    (EBR's seq-cst fetch-add on every read, PAPER.md §1) is exactly the
 //!    cost this amortizes: the `rcuarray_service_pins_total` /
@@ -50,7 +49,6 @@
 //! service.shutdown();
 //! ```
 
-mod batch;
 mod client;
 mod metrics;
 mod queue;
@@ -58,7 +56,6 @@ mod request;
 mod service;
 mod ticket;
 
-pub use batch::BatchPolicy;
 pub use client::Client;
 pub use metrics::{slo_snapshot, SloSnapshot};
 pub use queue::{BoundedQueue, PopResult};

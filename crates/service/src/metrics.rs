@@ -19,7 +19,7 @@ pub(crate) static PINS: LazyCounter = LazyCounter::new(
     "read-side guard pins taken by service workers (one per executed batch op)",
 );
 
-/// Batches executed (flushes of a worker's coalescing buffer).
+/// Batches executed (one per non-empty drain of a worker's queue).
 pub(crate) static BATCHES: LazyCounter = LazyCounter::new(
     "rcuarray_service_batches_total",
     "coalesced batches executed by service workers",
@@ -72,7 +72,10 @@ pub(crate) static QUEUE_DEPTH: LazyGauge = LazyGauge::new(
     "requests currently sitting in service worker queues",
 );
 
-/// Time from admission to dequeue — the SLO component load adds.
+/// Time from admission to dequeue — the SLO component load adds. A
+/// worker executes a batch the moment it dequeues it, so this is all of
+/// a request's wait before execution; no coalescing window hides in
+/// either histogram.
 pub(crate) static QUEUE_WAIT_NS: LazyHistogram = LazyHistogram::new(
     "rcuarray_service_queue_wait_ns",
     "per-request queue wait (admission to dequeue) in nanoseconds",

@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 /// Outcome of a blocking pop.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PopResult<E> {
-    /// An item was dequeued.
+    /// Work was dequeued ([`BoundedQueue::pop_batch`]: how many items).
     Item(E),
     /// The wait elapsed with the queue still empty.
     TimedOut,
@@ -66,45 +66,29 @@ impl<E> BoundedQueue<E> {
         Ok(())
     }
 
-    /// Dequeue, waiting up to `timeout` for an item. Items still queued
-    /// when the queue closes are drained first; [`PopResult::Closed`] is
-    /// only returned once the queue is closed *and* empty.
-    pub fn pop_timeout(&self, timeout: Duration) -> PopResult<E> {
+    /// Move everything queued, up to `max` items, into `out` under one
+    /// lock hold, waiting up to `timeout` for the first item to arrive;
+    /// `Item(n)` reports how many were moved. Items still queued when
+    /// the queue closes are drained first; [`PopResult::Closed`] is only
+    /// returned once the queue is closed *and* empty. The deadline is
+    /// checked before every wait, so a zero `timeout` never parks.
+    pub fn pop_batch(&self, max: usize, timeout: Duration, out: &mut Vec<E>) -> PopResult<usize> {
+        debug_assert!(max >= 1, "a batch pop needs max >= 1");
         let deadline = Instant::now() + timeout;
         let mut st = self.state.lock();
         loop {
-            if let Some(item) = st.buf.pop_front() {
-                return PopResult::Item(item);
+            if !st.buf.is_empty() {
+                let n = st.buf.len().min(max);
+                out.extend(st.buf.drain(..n));
+                return PopResult::Item(n);
             }
             if st.closed {
                 return PopResult::Closed;
             }
-            if self.not_empty.wait_until(&mut st, deadline).timed_out() && st.buf.is_empty() {
-                return if st.closed {
-                    PopResult::Closed
-                } else {
-                    PopResult::TimedOut
-                };
+            if Instant::now() >= deadline {
+                return PopResult::TimedOut;
             }
-        }
-    }
-
-    /// Dequeue, waiting until `deadline`; `None` when the deadline
-    /// passes (or the queue closes) with nothing queued. This is the
-    /// batcher's coalescing wait: a worker holding a partial batch polls
-    /// for more work only until its flush deadline.
-    pub fn pop_until(&self, deadline: Instant) -> Option<E> {
-        let mut st = self.state.lock();
-        loop {
-            if let Some(item) = st.buf.pop_front() {
-                return Some(item);
-            }
-            if st.closed || Instant::now() >= deadline {
-                return None;
-            }
-            if self.not_empty.wait_until(&mut st, deadline).timed_out() {
-                return st.buf.pop_front();
-            }
+            self.not_empty.wait_until(&mut st, deadline);
         }
     }
 
@@ -161,42 +145,87 @@ mod tests {
         let _ = BoundedQueue::<u32>::with_capacity(0);
     }
 
+    /// One `pop_batch` call, collected into a fresh `Vec`.
+    fn pop(q: &BoundedQueue<u32>, max: usize, timeout: Duration) -> (PopResult<usize>, Vec<u32>) {
+        let mut out = Vec::new();
+        let r = q.pop_batch(max, timeout, &mut out);
+        (r, out)
+    }
+
     #[test]
     fn fifo_order_and_timeout() {
         let q = BoundedQueue::with_capacity(4);
         q.try_push(1).unwrap();
         q.try_push(2).unwrap();
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), PopResult::Item(1));
-        assert_eq!(q.pop_timeout(Duration::from_millis(5)), PopResult::Item(2));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::TimedOut);
+        assert_eq!(
+            pop(&q, 1, Duration::from_millis(5)),
+            (PopResult::Item(1), vec![1])
+        );
+        assert_eq!(
+            pop(&q, 1, Duration::from_millis(5)),
+            (PopResult::Item(1), vec![2])
+        );
+        assert_eq!(
+            pop(&q, 1, Duration::from_millis(1)),
+            (PopResult::TimedOut, vec![])
+        );
+    }
+
+    #[test]
+    fn pop_batch_respects_max_and_keeps_fifo_order() {
+        let q = BoundedQueue::with_capacity(8);
+        for i in 0..5 {
+            q.try_push(i).unwrap();
+        }
+        let mut out = vec![99];
+        assert_eq!(q.pop_batch(3, Duration::ZERO, &mut out), PopResult::Item(3));
+        assert_eq!(
+            out,
+            vec![99, 0, 1, 2],
+            "appends, in FIFO order, at most max"
+        );
+        assert_eq!(pop(&q, 8, Duration::ZERO), (PopResult::Item(2), vec![3, 4]));
+        assert!(q.is_empty());
     }
 
     #[test]
     fn close_drains_then_signals() {
         let q = BoundedQueue::with_capacity(4);
         q.try_push(7).unwrap();
+        q.try_push(8).unwrap();
+        q.try_push(9).unwrap();
         q.close();
-        assert_eq!(q.try_push(8), Err(8), "closed queue refuses new work");
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::Item(7));
-        assert_eq!(q.pop_timeout(Duration::from_millis(1)), PopResult::Closed);
+        assert_eq!(q.try_push(10), Err(10), "closed queue refuses new work");
+        assert_eq!(pop(&q, 2, Duration::ZERO), (PopResult::Item(2), vec![7, 8]));
+        assert_eq!(pop(&q, 2, Duration::ZERO), (PopResult::Item(1), vec![9]));
+        assert_eq!(
+            pop(&q, 2, Duration::from_secs(5)),
+            (PopResult::Closed, vec![])
+        );
     }
 
     #[test]
-    fn pop_until_returns_none_at_deadline() {
+    fn zero_timeout_on_an_empty_queue_never_parks() {
         let q = BoundedQueue::<u32>::with_capacity(4);
         let t0 = Instant::now();
-        assert_eq!(q.pop_until(t0 + Duration::from_millis(2)), None);
+        assert_eq!(pop(&q, 4, Duration::ZERO), (PopResult::TimedOut, vec![]));
+        assert!(t0.elapsed() < Duration::from_millis(50));
+        // A real condvar returns at once from a past deadline, so timing
+        // alone cannot tell a park apart; `service_harness.rs` can: under
+        // DPOR a park with no producer left is reported as a deadlock.
     }
 
     #[test]
     fn wakes_a_blocked_consumer() {
         let q = Arc::new(BoundedQueue::with_capacity(2));
         let q2 = Arc::clone(&q);
-        let consumer =
-            rcuarray_analysis::thread::spawn(move || q2.pop_timeout(Duration::from_secs(5)));
+        let consumer = rcuarray_analysis::thread::spawn(move || {
+            let mut out = Vec::new();
+            (q2.pop_batch(4, Duration::from_secs(5), &mut out), out)
+        });
         // The consumer may or may not be parked yet; either way the
         // notify-or-find path must deliver the item.
         q.try_push(42).unwrap();
-        assert_eq!(consumer.join().unwrap(), PopResult::Item(42));
+        assert_eq!(consumer.join().unwrap(), (PopResult::Item(1), vec![42]));
     }
 }

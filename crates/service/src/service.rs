@@ -1,7 +1,6 @@
 //! The service core: per-locale worker pools, bounded admission queues,
-//! adaptive batch execution (DESIGN.md §11).
+//! batch execution of whatever a worker finds queued (DESIGN.md §11).
 
-use crate::batch::{self, BatchPolicy};
 use crate::client::Client;
 use crate::metrics;
 use crate::queue::{BoundedQueue, PopResult};
@@ -11,6 +10,7 @@ use rcuarray::{Element, RcuArray, Scheme};
 use rcuarray_analysis::atomic::{AtomicUsize, Ordering};
 use rcuarray_analysis::thread::{self, JoinHandle};
 use rcuarray_runtime::{task, CommError, CommMessage, LocaleId};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -23,10 +23,10 @@ pub struct ServiceConfig {
     /// Hard capacity of each worker's admission queue; a full queue
     /// refuses with [`Response::Overloaded`].
     pub queue_capacity: usize,
-    /// Flush a worker's coalescing buffer at this many requests.
+    /// The most requests a worker takes from its queue at once. A woken
+    /// worker drains what is queued, up to this many, and executes it
+    /// as one batch; it never waits for more to arrive.
     pub max_batch: usize,
-    /// Flush once the oldest coalesced request has waited this long.
-    pub max_delay: Duration,
     /// Requests that wait in queue longer than this are shed at dequeue
     /// with [`Response::Shed`] instead of being executed.
     pub deadline: Duration,
@@ -43,7 +43,6 @@ impl Default for ServiceConfig {
             workers_per_locale: 1,
             queue_capacity: 256,
             max_batch: 32,
-            max_delay: Duration::from_micros(200),
             deadline: Duration::from_millis(50),
             retry_after: Duration::from_millis(1),
             idle_park: Duration::from_millis(5),
@@ -52,14 +51,6 @@ impl Default for ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// The flush policy the worker loop follows.
-    pub fn batch_policy(&self) -> BatchPolicy {
-        BatchPolicy {
-            max_batch: self.max_batch,
-            max_delay: self.max_delay,
-        }
-    }
-
     fn validate(&self) {
         assert!(
             self.workers_per_locale >= 1,
@@ -217,13 +208,14 @@ impl<T: Element, S: Scheme> Core<T, S> {
         ticket
     }
 
-    /// One worker-loop step on queue `qi`: park for work, coalesce a
-    /// batch, execute it. Returns `false` once the queue is closed and
-    /// drained. Factored out of [`worker_loop`] so tests and the checker
-    /// harness can single-step a worker without a thread.
+    /// One worker-loop step on queue `qi`: park until work is queued,
+    /// take what is queued (up to `max_batch`), execute it as one batch.
+    /// Returns `false` once the queue is closed and drained. Factored out
+    /// of [`worker_loop`] so tests can single-step a worker without a
+    /// thread.
     pub(crate) fn poll_once(&self, qi: usize) -> bool {
-        let q = &self.queues[qi];
-        let first = match q.pop_timeout(self.cfg.idle_park) {
+        let mut batch = Vec::new();
+        match self.queues[qi].pop_batch(self.cfg.max_batch, self.cfg.idle_park, &mut batch) {
             PopResult::Closed => return false,
             PopResult::TimedOut => {
                 // Idle: announce quiescence so this worker never gates
@@ -231,30 +223,14 @@ impl<T: Element, S: Scheme> Core<T, S> {
                 self.array.checkpoint();
                 return true;
             }
-            PopResult::Item(env) => env,
-        };
-        let policy = self.cfg.batch_policy();
-        // `max_delay` bounds the *coalescing* delay this worker adds on
-        // top of queue wait, so it counts from when the batch starts
-        // forming — not from the head envelope's enqueue. Counting queue
-        // age would collapse batches to size 1 exactly when a backlog
-        // builds, which is when amortization matters most.
-        let forming = Instant::now();
-        let flush_at = forming + policy.max_delay;
-        let mut batch = vec![first];
-        while !policy.should_flush(batch.len(), forming.elapsed()) {
-            match q.pop_until(flush_at) {
-                Some(env) => batch.push(env),
-                None => break,
-            }
+            PopResult::Item(n) => metrics::QUEUE_DEPTH.add(-(n as i64)),
         }
-        metrics::QUEUE_DEPTH.add(-(batch.len() as i64));
         self.execute(batch);
         self.array.checkpoint();
         true
     }
 
-    /// Execute one coalesced batch: shed expired requests, then fold the
+    /// Execute one batch: shed expired requests, then fold the
     /// survivors' reads into one `read_many` call and their writes into
     /// one `write_many` call — a single guard pin each, which is the
     /// amortization `pins_total < requests_total` measures.
@@ -262,66 +238,50 @@ impl<T: Element, S: Scheme> Core<T, S> {
         metrics::BATCHES.inc();
         let t0 = Instant::now();
 
-        // Bounds decisions for the whole batch come from one capacity
-        // snapshot; a concurrent grow may land mid-batch but never
-        // shrinks, so `idx < cap` stays safe.
-        let cap = self.array.capacity();
+        // Bounds are decided inside the pinned snapshot (`read_many`,
+        // `write_many` and `read_range` answer for indices past the view
+        // instead of panicking), so a concurrent `truncate` can cost a
+        // request its element but never fail its batch-mates.
 
         // How a ticket's response maps back onto the batch read plan.
         enum Reads {
-            One(Option<usize>),
-            Many(Vec<Option<usize>>),
+            One(usize),
+            Many(Range<usize>),
         }
 
         let mut read_plan: Vec<usize> = Vec::new();
         let mut read_acks: Vec<(Arc<TicketSlot<T>>, Reads)> = Vec::new();
         let mut write_plan: Vec<(usize, T)> = Vec::new();
-        let mut write_acks: Vec<(Arc<TicketSlot<T>>, usize)> = Vec::new();
+        let mut write_acks: Vec<(Arc<TicketSlot<T>>, Range<usize>)> = Vec::new();
         let mut grows: Vec<(Arc<TicketSlot<T>>, usize)> = Vec::new();
-        let mut scans: Vec<(Arc<TicketSlot<T>>, std::ops::Range<usize>)> = Vec::new();
+        let mut scans: Vec<(Arc<TicketSlot<T>>, Range<usize>)> = Vec::new();
 
         for env in batch {
             let waited = env.enqueued.elapsed();
             metrics::QUEUE_WAIT_NS.record(waited.as_nanos() as u64);
-            if batch::is_expired(waited, self.cfg.deadline) {
+            if is_expired(waited, self.cfg.deadline) {
                 metrics::SHED.inc();
                 env.slot.complete(Response::Shed { waited });
                 continue;
             }
-            let mut plan_read = |idx: usize| {
-                if idx < cap {
-                    read_plan.push(idx);
-                    Some(read_plan.len() - 1)
-                } else {
-                    None
-                }
-            };
             match env.req {
                 Request::Get { idx } => {
-                    let pos = plan_read(idx);
-                    read_acks.push((env.slot, Reads::One(pos)));
+                    read_acks.push((env.slot, Reads::One(read_plan.len())));
+                    read_plan.push(idx);
                 }
                 Request::BatchGet { indices } => {
-                    let pos = indices.iter().map(|&i| plan_read(i)).collect();
-                    read_acks.push((env.slot, Reads::Many(pos)));
+                    let start = read_plan.len();
+                    read_plan.extend(indices);
+                    read_acks.push((env.slot, Reads::Many(start..read_plan.len())));
                 }
                 Request::Put { idx, value } => {
-                    let mut applied = 0;
-                    if idx < cap {
-                        write_plan.push((idx, value));
-                        applied = 1;
-                    }
-                    write_acks.push((env.slot, applied));
+                    write_acks.push((env.slot, write_plan.len()..write_plan.len() + 1));
+                    write_plan.push((idx, value));
                 }
                 Request::BatchPut { entries } => {
-                    let mut applied = 0;
-                    for (idx, value) in entries {
-                        if idx < cap {
-                            write_plan.push((idx, value));
-                            applied += 1;
-                        }
-                    }
-                    write_acks.push((env.slot, applied));
+                    let start = write_plan.len();
+                    write_plan.extend(entries);
+                    write_acks.push((env.slot, start..write_plan.len()));
                 }
                 Request::Grow { additional } => grows.push((env.slot, additional)),
                 Request::Scan { range } => scans.push((env.slot, range)),
@@ -330,18 +290,14 @@ impl<T: Element, S: Scheme> Core<T, S> {
 
         // Reads: one pin for every Get/BatchGet in the batch.
         if !read_acks.is_empty() {
-            let values = if read_plan.is_empty() {
-                Some(Vec::new())
-            } else {
+            if !read_plan.is_empty() {
                 metrics::PINS.inc();
-                catch_unwind(AssertUnwindSafe(|| self.array.read_many(&read_plan))).ok()
-            };
+            }
+            let values = catch_unwind(AssertUnwindSafe(|| self.array.read_many(&read_plan))).ok();
             for (slot, shape) in read_acks {
                 let resp = match (&values, shape) {
-                    (Some(vals), Reads::One(pos)) => Response::Value(pos.map(|p| vals[p])),
-                    (Some(vals), Reads::Many(pos)) => {
-                        Response::Values(pos.into_iter().map(|p| p.map(|p| vals[p])).collect())
-                    }
+                    (Some(vals), Reads::One(p)) => Response::Value(vals[p]),
+                    (Some(vals), Reads::Many(r)) => Response::Values(vals[r].to_vec()),
                     (None, _) => {
                         metrics::FAILURES.inc();
                         Response::Failed
@@ -353,18 +309,19 @@ impl<T: Element, S: Scheme> Core<T, S> {
 
         // Writes: one pin for every Put/BatchPut in the batch.
         if !write_acks.is_empty() {
-            let ok = if write_plan.is_empty() {
-                true
-            } else {
+            if !write_plan.is_empty() {
                 metrics::PINS.inc();
-                catch_unwind(AssertUnwindSafe(|| self.array.write_many(&write_plan))).is_ok()
-            };
-            for (slot, applied) in write_acks {
-                let resp = if ok {
-                    Response::Done { applied }
-                } else {
-                    metrics::FAILURES.inc();
-                    Response::Failed
+            }
+            let landed = catch_unwind(AssertUnwindSafe(|| self.array.write_many(&write_plan))).ok();
+            for (slot, r) in write_acks {
+                let resp = match &landed {
+                    Some(landed) => Response::Done {
+                        applied: landed[r].iter().filter(|&&l| l).count(),
+                    },
+                    None => {
+                        metrics::FAILURES.inc();
+                        Response::Failed
+                    }
                 };
                 slot.complete(resp);
             }
@@ -390,24 +347,20 @@ impl<T: Element, S: Scheme> Core<T, S> {
             slot.complete(resp);
         }
 
-        // Scans: one pin each (`read_range` pins once internally).
+        // Scans: one pin each (`read_range` pins once internally and
+        // stops at the end of its view; the rest of the range is `None`).
         for (slot, range) in scans {
-            let lo = range.start.min(cap);
-            let hi = range.end.min(cap);
-            let resp = if lo >= hi {
-                Response::Values(vec![None; range.len()])
-            } else {
-                metrics::PINS.inc();
-                match catch_unwind(AssertUnwindSafe(|| self.array.read_range(lo..hi))) {
-                    Ok(vals) => {
-                        let mut out: Vec<Option<T>> = vals.into_iter().map(Some).collect();
-                        out.resize(range.len(), None);
-                        Response::Values(out)
-                    }
-                    Err(_) => {
-                        metrics::FAILURES.inc();
-                        Response::Failed
-                    }
+            metrics::PINS.inc();
+            let resp = match catch_unwind(AssertUnwindSafe(|| self.array.read_range(range.clone())))
+            {
+                Ok(vals) => {
+                    let mut out: Vec<Option<T>> = vals.into_iter().map(Some).collect();
+                    out.resize(range.len(), None);
+                    Response::Values(out)
+                }
+                Err(_) => {
+                    metrics::FAILURES.inc();
+                    Response::Failed
                 }
             };
             slot.complete(resp);
@@ -415,6 +368,13 @@ impl<T: Element, S: Scheme> Core<T, S> {
 
         metrics::EXECUTE_NS.record(t0.elapsed().as_nanos() as u64);
     }
+}
+
+/// Deadline-based shedding: a request that already waited past its
+/// deadline is dropped at dequeue — executing it would burn capacity on
+/// an answer the caller has given up on.
+fn is_expired(waited: Duration, deadline: Duration) -> bool {
+    waited > deadline
 }
 
 fn worker_loop<T: Element, S: Scheme>(core: Arc<Core<T, S>>, qi: usize) {
@@ -590,7 +550,6 @@ mod tests {
             small_array(1),
             ServiceConfig {
                 deadline: Duration::from_millis(1),
-                max_delay: Duration::ZERO,
                 ..ServiceConfig::default()
             },
         );
@@ -611,10 +570,6 @@ mod tests {
         let core = Core::new(
             small_array(1),
             ServiceConfig {
-                // Flush exactly when the 8 queued gets are coalesced, so
-                // the worker neither waits out a delay window nor sheds.
-                max_batch: 8,
-                max_delay: Duration::from_secs(10),
                 deadline: Duration::from_secs(60),
                 ..ServiceConfig::default()
             },
@@ -628,7 +583,7 @@ mod tests {
         assert_eq!(
             metrics::PINS.value(),
             pins_before + 1,
-            "eight coalesced gets must share one guard pin"
+            "eight queued gets must share one guard pin"
         );
         assert!(metrics::PINS.value() < reqs_before);
         for t in tickets {
@@ -637,6 +592,52 @@ mod tests {
                 Response::Value(Some(_)) | Response::Value(None)
             ));
         }
+    }
+
+    #[test]
+    fn a_backlog_drains_in_max_batch_sized_batches() {
+        let _serial = METRICS_LOCK.lock();
+        let cfg = ServiceConfig {
+            queue_capacity: 64,
+            deadline: Duration::from_secs(60),
+            ..ServiceConfig::default()
+        };
+        assert_eq!(cfg.max_batch, 32);
+        let core = Core::new(small_array(1), cfg);
+        let tickets: Vec<_> = (0..40)
+            .map(|i| core.submit(Request::Get { idx: i % 16 }))
+            .collect();
+        let batches_before = metrics::BATCHES.value();
+        let pins_before = metrics::PINS.value();
+        let answered = |ts: &[Ticket<u64>]| -> Vec<bool> {
+            ts.iter()
+                .map(|t| match t.try_wait() {
+                    Some(resp) => {
+                        assert_eq!(resp, Response::Value(Some(0)));
+                        true
+                    }
+                    None => false,
+                })
+                .collect()
+        };
+        assert!(core.poll_once(0));
+        assert_eq!(metrics::PINS.value(), pins_before + 1, "32 gets, one pin");
+        assert_eq!(
+            answered(&tickets),
+            [vec![true; 32], vec![false; 8]].concat(),
+            "the first poll takes exactly max_batch requests, in FIFO order"
+        );
+        assert!(core.poll_once(0));
+        assert_eq!(metrics::PINS.value(), pins_before + 2, "8 gets, one pin");
+        assert_eq!(answered(&tickets[32..]), vec![true; 8]);
+        assert_eq!(metrics::BATCHES.value(), batches_before + 2);
+    }
+
+    #[test]
+    fn expiry_is_strict() {
+        let d = Duration::from_millis(5);
+        assert!(!is_expired(d, d), "exactly at the deadline still runs");
+        assert!(is_expired(d + Duration::from_nanos(1), d));
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //!
 //! Every request flows through admission control (bounded per-worker
 //! queues — overload answers `Overloaded` with a retry hint instead of
-//! wedging) and adaptive batching (a worker coalesces up to `max_batch`
-//! requests and serves them under a *single* read guard). The SLO
+//! wedging) and batching (a woken worker drains what is queued, up to
+//! `max_batch` requests, and serves them under a *single* read guard;
+//! with six concurrent clients a queue seldom holds just one). The SLO
 //! snapshot printed at the end shows the effect: `pins` well below
 //! `requests` is the paper's read-side amortization surfaced as a
 //! service metric, and the queue-wait vs execute histograms split
@@ -62,7 +63,6 @@ fn main() {
             workers_per_locale: 1,
             queue_capacity: 512,
             max_batch: 32,
-            max_delay: Duration::from_micros(200),
             deadline: Duration::from_millis(250),
             ..ServiceConfig::default()
         },

@@ -2,13 +2,14 @@
 //! byte-capped reclaim backlog the service answers `Overloaded` instead
 //! of wedging; floods shed past the deadline but every ticket resolves;
 //! fault injection (`read.kill`, slow locales) degrades answers, never
-//! the service; and the queue-depth gauge returns to baseline once load
-//! stops.
+//! the service; a concurrent `truncate` fails no in-bounds request; and
+//! the queue-depth gauge returns to baseline once load stops.
 //!
 //! The SLO counters and gauges are process-wide, so every test holds
 //! `SERIAL` — assertions on deltas and baselines need exclusive use.
 
 use rcuarray_repro::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -158,7 +159,6 @@ fn flood_sheds_past_deadline_but_every_ticket_resolves() {
             // Every admitted request has, by construction, waited
             // longer than this by the time a worker dequeues it.
             deadline: Duration::from_nanos(1),
-            max_delay: Duration::from_micros(50),
             ..ServiceConfig::default()
         },
     );
@@ -272,10 +272,9 @@ fn slow_locale_causes_sheds_then_service_recovers() {
         array,
         ServiceConfig {
             queue_capacity: 256,
-            // Deadline comfortably above the batching delay (a lone
-            // request ages ~max_delay before it flushes) but far below
-            // the 2ms slow-locale charge.
-            max_delay: Duration::from_micros(50),
+            // Deadline far below the 2ms slow-locale charge, yet well
+            // above a healthy queue wait: a worker drains what is queued
+            // the moment it wakes, so a lone request waits microseconds.
             deadline: Duration::from_millis(1),
             ..ServiceConfig::default()
         },
@@ -314,4 +313,68 @@ fn slow_locale_causes_sheds_then_service_recovers() {
     assert!(recovered, "service must recover once the locale is healthy");
     service.shutdown();
     assert_eq!(slo_snapshot().queue_depth, 0);
+}
+
+/// A concurrent `truncate` costs a request only the element it cut off.
+/// One thread cycles the array between 48 and 64 elements while the
+/// client submits a request for index 0 (never truncated) and one for
+/// index 56 back to back, so the two often share a batch. Bounds are
+/// decided inside the batch's pinned snapshot, so the index-0 request
+/// must always be served, whatever happens to index 56 beside it.
+#[test]
+fn concurrent_truncate_never_fails_in_bounds_requests() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    const ROUNDS: u64 = 2_000;
+    // Truncated blocks stay owned by the array until it drops (~0.3 KB
+    // a cycle here), so the cycler stops after this many.
+    const MAX_CYCLES: u32 = 50_000;
+    let c = cluster(1);
+    let array: EbrArray<u64> = EbrArray::with_config(&c, small_cfg());
+    array.resize(64);
+    let service = Service::start(
+        array,
+        ServiceConfig {
+            deadline: Duration::from_secs(5),
+            ..ServiceConfig::default()
+        },
+    );
+    let client = service.client();
+    let stop = AtomicBool::new(false);
+    let (mut get_failed, mut put_failed, mut cut) = (0u64, 0u64, 0u64);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for _ in 0..MAX_CYCLES {
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                service.array().truncate(48);
+                service.array().resize(16);
+            }
+        });
+        for i in 0..ROUNDS {
+            let near = client.submit(Request::Get { idx: 0 });
+            let far = client.submit(Request::Get { idx: 56 });
+            if !matches!(near.wait(), Response::Value(Some(_))) {
+                get_failed += 1;
+            }
+            cut += u64::from(far.wait() == Response::Value(None));
+            let near = client.submit(Request::Put { idx: 0, value: i });
+            let far = client.submit(Request::Put { idx: 56, value: i });
+            if near.wait() != (Response::Done { applied: 1 }) {
+                put_failed += 1;
+            }
+            cut += u64::from(far.wait() == (Response::Done { applied: 0 }));
+        }
+        stop.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(
+        (get_failed, put_failed),
+        (0, 0),
+        "in-bounds requests failed beside a truncated index ({ROUNDS} rounds each)"
+    );
+    assert!(
+        cut > 0,
+        "the cycler never cut index 56 off: the race went untested"
+    );
+    service.shutdown();
 }
