@@ -60,9 +60,9 @@
 //!    `record_on` / `record_local` / `record_retry`) is the runtime's
 //!    *internal* charging vocabulary. Every cross-locale byte outside
 //!    `crates/runtime/` must be expressed as a typed `CommMessage`
-//!    through the `Transport` facade (`Cluster::send_to` /
-//!    `copy_between` / `CommLayer::send`), so backends stay swappable
-//!    and per-link fault rules apply uniformly (DESIGN.md §14).
+//!    through `CommLayer::send` (or its `Cluster::send_to` /
+//!    `copy_between` wrappers), so per-link fault rules apply uniformly
+//!    (DESIGN.md §14).
 //! 10. **No raw block placement outside the placement map**: the
 //!     round-robin home-selection vocabulary (`RoundRobinCounter`,
 //!     `next_round_robin(`) may appear in `crates/rcuarray/` only inside
@@ -176,7 +176,7 @@ pub const BOUNDED_QUEUE_CRATES: &[&str] = &["crates/service/"];
 
 /// Files allowed to call the `CommLayer::record_*` charging primitives
 /// (rule 9). Only the runtime itself may speak them; every other crate
-/// sends typed `CommMessage`s through the `Transport` facade.
+/// sends typed `CommMessage`s through `CommLayer::send`.
 pub const RAW_COMM_ALLOWLIST: &[&str] = &["crates/runtime/"];
 
 /// Crates whose locale-indexed block placement must go through the
@@ -736,7 +736,7 @@ pub fn lint_source(path: &Path, src: &str) -> Vec<Violation> {
                 rule: Rule::RawComm,
                 msg: "raw `CommLayer::record_*` call outside crates/runtime; \
                       express remote traffic as a typed CommMessage through \
-                      the Transport facade (DESIGN.md §14)"
+                      `CommLayer::send` (DESIGN.md §14)"
                     .into(),
             });
         }

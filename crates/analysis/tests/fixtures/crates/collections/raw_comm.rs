@@ -3,7 +3,7 @@
 // path inside the fixtures tree so rule 9's path scoping matches, while
 // the `fixtures` directory itself is skipped by the normal lint walk.
 
-fn bypass_the_transport_facade(cluster: &Cluster, from: LocaleId, to: LocaleId) {
+fn bypass_comm_layer_send(cluster: &Cluster, from: LocaleId, to: LocaleId) {
     // Should be `cluster.send_to(to, CommMessage::Get { bytes: 8 })`.
     let _ = cluster.comm().record_get(from, to, 8);
 }

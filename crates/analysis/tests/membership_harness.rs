@@ -5,9 +5,9 @@
 //!
 //! The real protocol spans locales (`coforall_locales` runs on raw
 //! scoped threads the checker cannot schedule), so — exactly as the
-//! transport and service harnesses model the mesh handshake and the
-//! ticket protocol — this harness models the placement map's three
-//! load-bearing invariants in checker-visible primitives:
+//! service harness models the ticket protocol — this harness models
+//! the placement map's three load-bearing invariants in checker-visible
+//! primitives:
 //!
 //! 1. **Guarded placement.** Failover lookup, replica fan-out, and the
 //!    resize append/rollback all hold the one placement lock

@@ -289,8 +289,13 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         S::NAME
     }
 
-    /// Current capacity in elements (monotonically non-decreasing; the
-    /// paper's RCUArray only expands).
+    /// Current capacity in elements. Capacity only grows, as the paper's
+    /// RCUArray only expands (footnote 12): [`try_resize`](Self::try_resize)
+    /// raises it after every in-view locale has published the larger
+    /// snapshot, and a rolled-back resize never raises it. So an index
+    /// below a `capacity()` this task has read stays inside its locale's
+    /// snapshot. The one exception is a locale evicted by membership: it
+    /// keeps its old prefix until [`rejoin_catch_up`](Self::rejoin_catch_up).
     #[inline]
     pub fn capacity(&self) -> usize {
         self.shared.capacity.load(Ordering::Acquire)
@@ -864,44 +869,6 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         e
     }
 
-    /// Shrink the array's *visible* capacity to at most `new_capacity`
-    /// elements (rounded up to a whole block). Returns the new capacity.
-    ///
-    /// This is an extension beyond the paper (which covers expansion
-    /// only, footnote 12) and it is a **logical** shrink: truncated
-    /// snapshots stop exposing the trailing blocks, but the blocks
-    /// themselves stay owned by the array until it drops — that is the
-    /// invariant [`get_ref`](Self::get_ref) references depend on.
-    /// Outstanding references into the truncated region therefore remain
-    /// valid (and writes through them still land in their blocks), while
-    /// indexed access past the new capacity panics. A later
-    /// [`resize`](Self::resize) allocates fresh blocks; truncated blocks
-    /// are not re-exposed.
-    pub fn truncate(&self, new_capacity: usize) -> usize {
-        let bs = self.shared.config.block_size;
-        let keep_blocks = new_capacity.div_ceil(bs);
-        let guard = self.shared.write_lock.acquire();
-        let current = self.shared.capacity.load(Ordering::Acquire);
-        let target = keep_blocks.saturating_mul(bs).min(current);
-        if target >= current {
-            drop(guard);
-            return current;
-        }
-        self.shared.cluster.coforall_locales(|l| {
-            // SAFETY: write lock held; this locale's snapshot is stable.
-            let cur = unsafe { self.state.get_on(l).snapshot_ref() };
-            self.republish_prefix(l, cur, keep_blocks);
-        });
-        // Keep the placement map aligned with the snapshot prefix: a
-        // later resize appends fresh groups at `keep_blocks`.
-        self.shared.placement.truncate(keep_blocks);
-        self.shared.capacity.store(target, Ordering::Release);
-        self.shared.resizes.add(1);
-        drop(guard);
-        OBS_CAPACITY.set(target as i64);
-        target
-    }
-
     /// Bulk-read `range` into a `Vec`, charging communication per
     /// block-contiguous chunk rather than per element (a bulk GET, which
     /// is how Chapel aggregates slice transfers).
@@ -909,7 +876,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// The read stops at the end of this locale's current view, decided
     /// inside the read-side critical section: the result is the in-view
     /// prefix of `range`, shorter than `range.len()` when the range runs
-    /// past it (a concurrent [`truncate`](Self::truncate) can make it so).
+    /// past it.
     pub fn read_range(&self, range: std::ops::Range<usize>) -> Vec<T> {
         let bs = self.shared.config.block_size;
         self.with_snapshot(|snap| {
@@ -978,10 +945,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// protocol at all (zero pins) — callers can treat "nothing to do" as
     /// free. Results are in `indices` order: `None` for an index past the
     /// end of the pinned snapshot. Bounds are decided inside the critical
-    /// section, so a concurrent [`truncate`](Self::truncate) costs only
-    /// the indices it cut off, never a panic. Communication is charged per
-    /// element to each block's home, exactly as [`read`](Self::read)
-    /// charges it.
+    /// section, so an index past the view costs only its own entry, never
+    /// a panic. Communication is charged per element to each block's home,
+    /// exactly as [`read`](Self::read) charges it.
     pub fn read_many(&self, indices: &[usize]) -> Vec<Option<T>> {
         if indices.is_empty() {
             return Vec::new();
@@ -1494,7 +1460,6 @@ mod tests {
         // The write lock was released and nothing was published.
         assert_eq!(a.capacity(), 16);
         assert_eq!(a.resize(8), 24);
-        assert_eq!(a.truncate(usize::MAX), 24, "huge truncate is a no-op");
     }
 
     #[test]
@@ -1830,16 +1795,9 @@ mod tests {
             vec![true, true, false]
         );
         assert_eq!(a.read_many(&[0, 8, 16]), vec![Some(1), Some(2), None]);
-        a.truncate(8);
-        assert_eq!(
-            a.write_many(&[(8, 4), (0, 5)]),
-            vec![false, true],
-            "a truncated index is skipped, its batch-mates still land"
-        );
-        assert_eq!(a.read_many(&[8, 0]), vec![None, Some(5)]);
         assert_eq!(
             a.stats().reclaim.guards,
-            base + 4,
+            base + 2,
             "still one pin per batch"
         );
     }
@@ -1950,86 +1908,60 @@ mod tests {
     }
 
     #[test]
-    fn truncate_shrinks_visible_capacity_all_schemes() {
-        all_schemes(|make| {
-            let a = make();
-            a.resize(64);
-            a.write(60, 5);
-            a.write(10, 7);
-            assert_eq!(a.resize(0), 64);
-            // Truncate through the trait object's resize? No — exercise
-            // the inherent API below via the concrete types.
+    fn capacity_checked_paths_never_panic_against_growing_and_rolled_back_resizes() {
+        use rcuarray_runtime::FaultAction;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let panicked = |f: &dyn Fn()| usize::from(catch_unwind(AssertUnwindSafe(f)).is_err());
+        // Each trigger fires once after three benign publishes, so about
+        // one publish in four faults and its resize rolls back (on a
+        // 2-locale cluster, often after the other locale has published).
+        let plan = (0..64).fold(FaultPlan::new(3), |p, _| {
+            p.trigger("resize.publish", 3, 1, FaultAction::Error)
         });
-        let c = cluster(2);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
-        a.resize(64);
-        a.write(10, 7);
-        assert_eq!(a.truncate(20), 24, "rounds up to 3 blocks of 8");
-        assert_eq!(a.capacity(), 24);
-        assert_eq!(a.read(10), 7, "kept region intact");
-        assert_eq!(a.try_read(24), None);
-        // Growth after truncation works and stays block-balanced.
-        a.resize(16);
-        assert_eq!(a.capacity(), 40);
-        a.checkpoint();
-
-        let e: EbrArray<u64> = RcuArray::with_config(&c, small_config());
-        e.resize(32);
-        assert_eq!(e.truncate(8), 8);
-        assert_eq!(e.capacity(), 8);
-    }
-
-    #[test]
-    fn truncate_no_op_when_larger_than_capacity() {
-        let c = cluster(1);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
-        a.resize(16);
-        assert_eq!(a.truncate(100), 16);
-        assert_eq!(a.truncate(16), 16);
-    }
-
-    #[test]
-    fn refs_into_truncated_region_stay_valid() {
-        let c = cluster(2);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
-        a.resize(32);
-        let r = a.get_ref(30);
-        a.truncate(8);
-        // Indexed access is gone, the reference is not (logical shrink).
-        assert_eq!(a.try_read(30), None);
-        r.set(123);
-        assert_eq!(r.get(), 123);
-        a.checkpoint();
-    }
-
-    #[test]
-    fn truncate_during_concurrent_reads_is_safe() {
-        let c = cluster(2);
+        let c = Cluster::builder()
+            .topology(Topology::new(2, 2))
+            .fault_plan(plan)
+            .build();
         let a: EbrArray<u64> = RcuArray::with_config(&c, small_config());
-        a.resize(128);
-        a.fill(9);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                let a = a.clone();
-                s.spawn(move || {
-                    // The truncater never shrinks below 16 elements, so
-                    // indices 0..16 stay in bounds on every interleaving
-                    // (sampling `capacity()` and then reading the stale
-                    // midpoint would race the shrink and trip the
-                    // documented out-of-bounds panic).
-                    for step in 0..2000 {
-                        assert_eq!(a.read(step % 16), 9);
-                    }
+        a.resize(8);
+        let stop = AtomicBool::new(false);
+        let reader = |l: u32| {
+            let mut panics = 0;
+            while !stop.load(Ordering::Acquire) {
+                // Probe the block just past the capacity seen here: a
+                // resize may raise it between a probe's bounds check and
+                // its read.
+                let past = a.capacity();
+                for idx in past..past + 8 {
+                    panics += panicked(&|| {
+                        a.try_read(idx);
+                    });
+                }
+                panics += panicked(&|| {
+                    assert!(a.to_vec().len() >= past);
+                    a.fill(l as u64);
                 });
             }
-            let a2 = a.clone();
-            s.spawn(move || {
-                for k in (1..8).rev() {
-                    a2.truncate(k * 16);
+            panics
+        };
+        let panics: usize = std::thread::scope(|s| {
+            let readers: Vec<_> = (0..2u32)
+                .map(|l| s.spawn(move || task::with_locale(LocaleId::new(l), || reader(l))))
+                .collect();
+            // Stop the readers even if a resize panics, so a broken
+            // resize fails this test instead of hanging it.
+            let resized = panicked(&|| {
+                for _ in 0..200 {
+                    a.resize(8);
                 }
             });
+            stop.store(true, Ordering::Release);
+            assert_eq!(resized, 0, "a resize panicked");
+            readers.into_iter().map(|r| r.join().unwrap()).sum()
         });
-        assert_eq!(a.capacity(), 16);
+        assert_eq!(panics, 0, "a capacity-checked path panicked");
+        assert!(a.stats().aborted_resizes > 0, "no resize rolled back");
+        assert_eq!(a.capacity(), 8 + 200 * 8);
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //!   references obtained from any snapshot stay valid forever. Repair
 //!   only ever swaps *replica* entries (index ≥ 1).
 //! * **Groups are append-only under the write lock** (one per logical
-//!   block, in block order) and truncated only by resize rollback or
-//!   explicit `truncate`, mirroring the snapshot prefix property.
+//!   block, in block order) and truncated only by resize rollback,
+//!   mirroring the snapshot prefix property.
 //! * **Replica writes are lag-accounted, not synchronously charged.** A
 //!   fanned-out store lands immediately (blocks are shared memory in the
 //!   simulation) but its communication charge is deferred into a
@@ -223,7 +223,7 @@ impl<T: Element> PlacementMap<T> {
         self.groups.lock().push(BlockGroup { entries });
     }
 
-    /// Drop groups past `keep` (resize rollback / truncate), mirroring
+    /// Drop groups past `keep` (resize rollback), mirroring
     /// the snapshot prefix that survives.
     pub fn truncate(&self, keep: usize) {
         let mut g = self.groups.lock();

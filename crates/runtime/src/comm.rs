@@ -1,11 +1,12 @@
-//! Communication facade: PUT/GET/remote-execute accounting, fault
-//! injection and latency, over a pluggable [`Transport`].
+//! Communication layer: the one front door for cross-locale traffic —
+//! PUT/GET/remote-execute accounting, fault injection and latency.
 //!
 //! On the paper's Cray XC-50, inter-node traffic rides the Aries network;
 //! Chapel compiles remote accesses into PUT/GET operations "behind the
 //! scenes, and so both readers and updaters are completely oblivious of all
-//! communication" (paper §III-D, footnote 10). The simulation preserves two
-//! observable properties of that network:
+//! communication" (paper §III-D, footnote 10). The simulation keeps every
+//! locale's memory in one address space, so no payload ever moves; what it
+//! preserves are two observable properties of that network:
 //!
 //! 1. **Accounting** — every crossing is counted per *initiating* locale, so
 //!    tests and the harness can assert locality claims (e.g. that RCUArray
@@ -13,13 +14,10 @@
 //! 2. **Cost** — an optional [`LatencyModel`] makes remote operations spend
 //!    real time, so benchmark rankings reflect the remote/local asymmetry.
 //!
-//! Since the transport refactor, `CommLayer` is a *facade*: callers hand it
-//! a typed [`CommMessage`], it lowers the message to wire operations
-//! ([`CommMessage::wire_ops`]), runs the fault plan on each, and only then
-//! asks the configured [`Transport`] backend to move the bytes. Fault
-//! checks, counters and latency all live here — **not** in the backends —
-//! which is what guarantees identical `CommStats`/`FaultStats`/`LinkStats`
-//! on shmem and mesh for the same workload.
+//! Callers hand [`CommLayer::send`] a typed [`CommMessage`]; it lowers the
+//! message to wire operations ([`CommMessage::wire_ops`]), runs the fault
+//! plan on each (locale state and the directed partition / one-way delay /
+//! drop link rules), charges the link table and applies latency.
 //!
 //! Every communication event is counted exactly once, in one table of
 //! cache-line-padded cells indexed by directed link `(from, to)`: a
@@ -32,9 +30,6 @@
 
 use crate::fault::{CommError, FaultPlan, OpKind};
 use crate::locale::LocaleId;
-use crate::transport::{
-    CommMessage, MeshConfig, MeshTransport, ShmemTransport, Transport, TransportKind,
-};
 use rcuarray_obs::LazyCounter;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -48,8 +43,95 @@ static OBS_RETRIES: LazyCounter = LazyCounter::new(
 );
 static OBS_FAULTS: LazyCounter = LazyCounter::new(
     "rcuarray_comm_faults_injected_total",
-    "remote operations charged as failed (fault plan or transport refusal)",
+    "remote operations charged as failed by the fault plan",
 );
+
+/// The size on the wire of one lock word (the paper's `WriteLock` state).
+pub const LOCK_WORD_BYTES: usize = 8;
+
+/// One typed cross-locale message: the full vocabulary the upper layers
+/// speak to the [`CommLayer`].
+///
+/// `Get`/`Put`/`RemoteExec` are the primitive PGAS operations; the rest
+/// are the composite cluster-lock messages that used to be hand-rolled
+/// as raw `record_*` pairs at every call site. Each message lowers to one or two wire operations via
+/// [`wire_ops`](Self::wire_ops); the lowering is the single source of
+/// truth for how a message is accounted and fault-checked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CommMessage {
+    /// Read `bytes` bytes of remote memory.
+    Get {
+        /// Payload size.
+        bytes: usize,
+    },
+    /// Write `bytes` bytes into remote memory.
+    Put {
+        /// Payload size.
+        bytes: usize,
+    },
+    /// Execute an `on`-block on the destination locale (active message).
+    RemoteExec,
+    /// Acquire a cluster-wide lock homed on the destination: one GET
+    /// (read/try of the lock word) plus one PUT (the RMW write-back) —
+    /// the round trip a remote compare-and-swap costs on the wire.
+    LockAcquire,
+    /// Release a cluster-wide lock homed on the destination: one PUT
+    /// writing the unlocked state back.
+    LockRelease,
+}
+
+impl CommMessage {
+    /// The wire operations this message lowers to, in transmission
+    /// order. This is what the fault plan checks and the per-locale
+    /// counters charge — one entry per `(OpKind, bytes)`.
+    pub fn wire_ops(&self) -> WireOps {
+        match *self {
+            CommMessage::Get { bytes } => WireOps::one(OpKind::Get, bytes),
+            CommMessage::Put { bytes } => WireOps::one(OpKind::Put, bytes),
+            CommMessage::RemoteExec => WireOps::one(OpKind::RemoteExec, 0),
+            CommMessage::LockAcquire => WireOps::two(
+                (OpKind::Get, LOCK_WORD_BYTES),
+                (OpKind::Put, LOCK_WORD_BYTES),
+            ),
+            CommMessage::LockRelease => WireOps::one(OpKind::Put, LOCK_WORD_BYTES),
+        }
+    }
+
+    /// The operation kind a failure of this message is reported as (the
+    /// first wire operation).
+    pub fn primary_op(&self) -> OpKind {
+        self.wire_ops().as_slice()[0].0
+    }
+}
+
+/// The (at most two) wire operations a [`CommMessage`] lowers to.
+/// A fixed-capacity array, not a `Vec`: this sits on the comm hot path.
+#[derive(Debug, Clone, Copy)]
+pub struct WireOps {
+    ops: [(OpKind, usize); 2],
+    len: usize,
+}
+
+impl WireOps {
+    fn one(op: OpKind, bytes: usize) -> Self {
+        WireOps {
+            ops: [(op, bytes), (op, bytes)],
+            len: 1,
+        }
+    }
+
+    fn two(a: (OpKind, usize), b: (OpKind, usize)) -> Self {
+        WireOps {
+            ops: [a, b],
+            len: 2,
+        }
+    }
+
+    /// The wire operations, in transmission order.
+    pub fn as_slice(&self) -> &[(OpKind, usize)] {
+        &self.ops[..self.len]
+    }
+}
 
 /// How much a remote operation should cost in wall-clock time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -279,8 +361,7 @@ pub struct LinkStats {
     pub bytes: u64,
 }
 
-/// The cluster's communication fabric: fault plan + accounting + latency
-/// in front of a pluggable [`Transport`] backend.
+/// The cluster's communication fabric: fault plan + accounting + latency.
 #[derive(Debug)]
 pub struct CommLayer {
     num_locales: usize,
@@ -289,37 +370,10 @@ pub struct CommLayer {
     fault_counters: Box<[FaultCounters]>,
     latency: LatencyModel,
     fault: FaultPlan,
-    transport: Box<dyn Transport>,
 }
 
 impl CommLayer {
-    /// A fault-free shmem layer (unit tests of comm-adjacent code).
-    #[cfg(test)]
-    pub(crate) fn new(num_locales: usize, latency: LatencyModel) -> Self {
-        Self::with_transport(
-            num_locales,
-            latency,
-            FaultPlan::disabled(),
-            TransportKind::Shmem,
-        )
-    }
-
-    pub(crate) fn with_transport(
-        num_locales: usize,
-        latency: LatencyModel,
-        fault: FaultPlan,
-        kind: TransportKind,
-    ) -> Self {
-        let transport: Box<dyn Transport> = match kind {
-            TransportKind::Shmem => Box::new(ShmemTransport::new(num_locales)),
-            // The mesh learns which links reorder at construction: the
-            // rules shape dispatcher behaviour, not per-send checks.
-            TransportKind::Mesh => Box::new(MeshTransport::new(
-                num_locales,
-                MeshConfig::default(),
-                &fault.reorder_links(),
-            )),
-        };
+    pub(crate) fn new(num_locales: usize, latency: LatencyModel, fault: FaultPlan) -> Self {
         CommLayer {
             num_locales,
             links: (0..num_locales * num_locales)
@@ -328,7 +382,6 @@ impl CommLayer {
             fault_counters: (0..num_locales).map(|_| FaultCounters::default()).collect(),
             latency,
             fault,
-            transport,
         }
     }
 
@@ -345,24 +398,18 @@ impl CommLayer {
         &self.fault
     }
 
-    /// The transport backend carrying this cluster's cross-locale bytes.
-    #[inline]
-    pub fn transport(&self) -> &dyn Transport {
-        &*self.transport
-    }
-
     /// Send one typed message from `from` to `to`: the single front door
     /// for all cross-locale traffic.
     ///
     /// The message lowers to wire operations; each is fault-checked and
     /// charged to the *initiating* locale. Every wire operation is checked
     /// (consuming its fault-plan stream) even after an earlier one failed,
-    /// but a message with any failed operation is **not** transmitted —
+    /// but a message with any failed operation is **not** delivered —
     /// `attempted = completed + failed` conservation holds per kind, and
-    /// partial delivery never happens. On success the transport moves the
-    /// message, the completed counters and bytes are charged to the
-    /// `(from, to)` link, and latency is applied per wire operation. A
-    /// multi-op message still counts as one link message.
+    /// partial delivery never happens. On success the completed counters
+    /// and bytes are charged to the `(from, to)` link, and latency is
+    /// applied per wire operation. A multi-op message still counts as one
+    /// link message.
     pub fn send(&self, from: LocaleId, to: LocaleId, msg: CommMessage) -> Result<(), CommError> {
         debug_assert_ne!(from, to, "local accesses use record_local");
         let ops = msg.wire_ops();
@@ -376,14 +423,6 @@ impl CommLayer {
             }
         }
         if let Some(e) = first_err {
-            return Err(e);
-        }
-        if let Err(e) = self.transport.transmit(from, to, &msg) {
-            // The backend refused (e.g. a mesh link stayed full past its
-            // deadline): the whole message failed, charge every wire op.
-            for &(op, _) in ops.as_slice() {
-                self.charge_failed(from, op);
-            }
             return Err(e);
         }
         for &(op, bytes) in ops.as_slice() {
@@ -566,7 +605,7 @@ mod tests {
     use super::*;
 
     fn layer(n: usize) -> CommLayer {
-        CommLayer::new(n, LatencyModel::None)
+        CommLayer::new(n, LatencyModel::None, FaultPlan::disabled())
     }
 
     #[test]
@@ -659,24 +698,50 @@ mod tests {
 
     #[test]
     fn stats_are_identical_across_backends() {
-        let run = |kind: TransportKind| {
-            let c = CommLayer::with_transport(3, LatencyModel::None, FaultPlan::disabled(), kind);
-            assert_eq!(c.transport().kind(), kind);
+        // Accounting is a pure function of the message script: two fresh
+        // layers fed the same script read back identical tables.
+        let run = || {
+            let c = layer(3);
             let (a, b, z) = (LocaleId::new(0), LocaleId::new(1), LocaleId::new(2));
             c.send(a, b, CommMessage::Get { bytes: 64 }).unwrap();
             c.send(b, z, CommMessage::Put { bytes: 8 }).unwrap();
             c.send(z, a, CommMessage::RemoteExec).unwrap();
             c.send(a, z, CommMessage::LockAcquire).unwrap();
             c.record_local(a);
-            (c.total(), c.fault_totals())
+            let links: Vec<LinkStats> = (0..9)
+                .map(|i| c.link_stats(LocaleId::new(i / 3), LocaleId::new(i % 3)))
+                .collect();
+            (c.total(), c.fault_totals(), links)
         };
-        let shmem = run(TransportKind::Shmem);
-        let mesh = run(TransportKind::Mesh);
-        assert_eq!(shmem, mesh, "the facade owns accounting, not the backend");
-        assert_eq!(shmem.0.gets, 2);
-        assert_eq!(shmem.0.puts, 2);
-        assert_eq!(shmem.0.remote_executes, 1);
-        assert_eq!(shmem.0.bytes_moved, 64 + 8 + 16);
+        let first = run();
+        assert_eq!(first, run(), "the link table is deterministic");
+        assert_eq!(first.0.gets, 2);
+        assert_eq!(first.0.puts, 2);
+        assert_eq!(first.0.remote_executes, 1);
+        assert_eq!(first.0.bytes_moved, 64 + 8 + 16);
+    }
+
+    #[test]
+    fn wire_ops_match_the_legacy_accounting() {
+        // LockAcquire lowers to exactly the GET+PUT pair a remote
+        // compare-and-swap costs.
+        let acq = CommMessage::LockAcquire.wire_ops();
+        assert_eq!(
+            acq.as_slice(),
+            &[(OpKind::Get, 8), (OpKind::Put, 8)],
+            "lock acquire is a remote CAS round trip"
+        );
+        let rel = CommMessage::LockRelease.wire_ops();
+        assert_eq!(rel.as_slice(), &[(OpKind::Put, 8)]);
+        assert_eq!(
+            CommMessage::Get { bytes: 64 }.wire_ops().as_slice(),
+            &[(OpKind::Get, 64)]
+        );
+        assert_eq!(
+            CommMessage::RemoteExec.wire_ops().as_slice(),
+            &[(OpKind::RemoteExec, 0)]
+        );
+        assert_eq!(CommMessage::LockAcquire.primary_op(), OpKind::Get);
     }
 
     #[test]

@@ -13,9 +13,8 @@
 //! * **link rules** — directed `(from, to)` rules targeting one link rather
 //!   than a whole locale: *partition* (fail with
 //!   [`CommError::Partitioned`]), *one-way delay* (spin before completing —
-//!   asymmetric latency), *drop* (probabilistic [`CommError::Transient`],
-//!   pairs with a retry policy) and *reorder* (perturb the mesh backend's
-//!   delivery order — observation only, no failures);
+//!   asymmetric latency) and *drop* (probabilistic [`CommError::Transient`],
+//!   pairs with a retry policy);
 //! * **trigger points** — named one-shot hooks (e.g. `"resize.publish"`)
 //!   that error or panic on their n-th hit, for aiming a fault at one exact
 //!   phase of an algorithm.
@@ -245,8 +244,6 @@ struct LinkRule {
     delay: Duration,
     /// Drop probability scaled to `[0, PROB_ONE]` (0 = never drop).
     drop_threshold: u64,
-    /// The mesh backend perturbs this link's observed delivery order.
-    reorder: bool,
     /// This link's decision-stream position (drop rolls, event seqs).
     seq: u64,
 }
@@ -259,7 +256,6 @@ impl LinkRule {
             partitioned: false,
             delay: Duration::ZERO,
             drop_threshold: 0,
-            reorder: false,
             seq: 0,
         }
     }
@@ -484,15 +480,6 @@ impl FaultPlan {
         self
     }
 
-    /// Mark the directed link `from → to` for delivery reordering: the
-    /// mesh backend swaps adjacent deliveries on it. Pure observation —
-    /// nothing fails, and the shmem backend (where send *is* delivery)
-    /// ignores it.
-    pub fn reorder_link(self, from: LocaleId, to: LocaleId) -> Self {
-        self.edit_link(from, to, |r| r.reorder = true);
-        self
-    }
-
     /// Cut or heal the directed link `from → to` at runtime.
     pub fn set_link_partitioned(&self, from: LocaleId, to: LocaleId, partitioned: bool) {
         self.edit_link(from, to, |r| r.partitioned = partitioned);
@@ -506,17 +493,6 @@ impl FaultPlan {
                 .lock()
                 .iter()
                 .any(|r| r.from == from && r.to == to && r.partitioned)
-    }
-
-    /// The directed links marked for delivery reordering (consumed by the
-    /// mesh backend at construction).
-    pub fn reorder_links(&self) -> Vec<(LocaleId, LocaleId)> {
-        self.links
-            .lock()
-            .iter()
-            .filter(|r| r.reorder)
-            .map(|r| (r.from, r.to))
-            .collect()
     }
 
     /// Mark `locale` slow or back to normal at runtime.
@@ -1140,20 +1116,8 @@ mod tests {
     }
 
     #[test]
-    fn reorder_links_are_collected_not_checked() {
-        let p = FaultPlan::new(5)
-            .reorder_link(l(0), l(1))
-            .reorder_link(l(2), l(0));
-        assert_eq!(p.reorder_links(), vec![(l(0), l(1)), (l(2), l(0))]);
-        // Reordering is observational: the check path never fails for it.
-        for _ in 0..100 {
-            assert!(p.check(l(0), l(1), OpKind::Put).is_ok());
-        }
-    }
-
-    #[test]
     fn retry_policy_succeeds_after_transients() {
-        let comm = CommLayer::new(2, LatencyModel::None);
+        let comm = CommLayer::new(2, LatencyModel::None, FaultPlan::disabled());
         let mut left = 3;
         let out = RetryPolicy::new(8, Duration::from_secs(1)).run(&comm, || {
             if left > 0 {
@@ -1172,7 +1136,7 @@ mod tests {
 
     #[test]
     fn retry_policy_exhausts_budget() {
-        let comm = CommLayer::new(1, LatencyModel::None);
+        let comm = CommLayer::new(1, LatencyModel::None, FaultPlan::disabled());
         let out: Result<(), _> = RetryPolicy::new(2, Duration::from_secs(1)).run(&comm, || {
             Err(CommError::Transient {
                 op: OpKind::Get,
@@ -1185,7 +1149,7 @@ mod tests {
 
     #[test]
     fn retry_policy_fails_fast_on_locale_down() {
-        let comm = CommLayer::new(1, LatencyModel::None);
+        let comm = CommLayer::new(1, LatencyModel::None, FaultPlan::disabled());
         let mut calls = 0;
         let out: Result<(), _> = RetryPolicy::default().run(&comm, || {
             calls += 1;
@@ -1201,7 +1165,7 @@ mod tests {
 
     #[test]
     fn retry_policy_times_out() {
-        let comm = CommLayer::new(1, LatencyModel::None);
+        let comm = CommLayer::new(1, LatencyModel::None, FaultPlan::disabled());
         let out: Result<(), _> =
             RetryPolicy::new(u32::MAX, Duration::from_millis(5)).run(&comm, || {
                 std::thread::sleep(Duration::from_millis(2));
@@ -1227,7 +1191,7 @@ mod tests {
 
     #[test]
     fn retry_policy_retries_through_backpressure() {
-        let comm = CommLayer::new(1, LatencyModel::None);
+        let comm = CommLayer::new(1, LatencyModel::None, FaultPlan::disabled());
         let mut calls = 0;
         let out = RetryPolicy::new(8, Duration::from_secs(1)).run(&comm, || {
             calls += 1;

@@ -10,9 +10,9 @@
 //! paper's `SyncArray` degrades as locales are added: "remote tasks must
 //! contest for the same lock".
 
+use crate::comm::CommMessage;
 use crate::locale::LocaleId;
 use crate::task;
-use crate::transport::CommMessage;
 use crate::Cluster;
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_analysis::sync::{Mutex, MutexGuard};

@@ -51,9 +51,8 @@ pub mod membership;
 pub mod privatization;
 pub mod task;
 pub mod topology;
-pub mod transport;
 
-pub use comm::{CommLayer, CommStats, FaultStats, LatencyModel, LinkStats};
+pub use comm::{CommLayer, CommMessage, CommStats, FaultStats, LatencyModel, LinkStats};
 pub use dist::{BlockDist, RoundRobinCounter};
 pub use fault::{CommError, FaultAction, FaultEvent, FaultPlan, OpKind, RetryPolicy};
 pub use global_lock::{GlobalLock, GlobalLockGuard};
@@ -62,9 +61,6 @@ pub use membership::{LocaleHealth, Membership, MembershipView};
 pub use privatization::{Pid, PrivHandle, PrivTable};
 pub use task::{current_locale, TaskScope};
 pub use topology::Topology;
-pub use transport::{
-    CommMessage, MeshConfig, MeshTransport, ShmemTransport, Transport, TransportKind,
-};
 
 use std::sync::Arc;
 
@@ -83,14 +79,23 @@ pub struct Cluster {
     membership: Membership,
 }
 
-/// Step-by-step construction of a [`Cluster`]: topology, latency model,
-/// fault plan and transport backend. Obtained from [`Cluster::builder`].
+/// Step-by-step construction of a [`Cluster`]: topology, latency model
+/// and fault plan. Obtained from [`Cluster::builder`].
 #[derive(Debug, Default)]
 pub struct ClusterBuilder {
     topology: Option<Topology>,
     latency: LatencyModel,
     fault_plan: FaultPlan,
-    backend: Option<TransportKind>,
+}
+
+/// The transport a cluster's communication rides: shared memory plus the
+/// [`CommLayer`] link table, the only one there is. Kept only because the
+/// `rcubench` benchmark still names it in [`ClusterBuilder::backend`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum TransportKind {
+    /// Shared memory: every locale's memory is one address space.
+    #[default]
+    Shmem,
 }
 
 impl ClusterBuilder {
@@ -118,17 +123,13 @@ impl ClusterBuilder {
         self
     }
 
-    /// Select the transport backend. Without this call the
-    /// `RCUARRAY_BACKEND` environment variable decides (default: shmem),
-    /// so the whole test suite can be re-run on the mesh without touching
-    /// a single call site.
-    pub fn backend(mut self, kind: TransportKind) -> Self {
-        self.backend = Some(kind);
+    /// Changes nothing: [`TransportKind::Shmem`] is the one transport.
+    /// Kept only because the `rcubench` benchmark still calls it.
+    pub fn backend(self, _: TransportKind) -> Self {
         self
     }
 
-    /// Build the cluster. Defaults: 1 locale, no latency, no faults, the
-    /// `RCUARRAY_BACKEND` transport (shmem when unset).
+    /// Build the cluster. Defaults: 1 locale, no latency, no faults.
     pub fn build(self) -> Arc<Cluster> {
         let topology = self.topology.unwrap_or_else(|| Topology::new(1, 1));
         let n = topology.num_locales();
@@ -140,10 +141,9 @@ impl ClusterBuilder {
         let locales = (0..n)
             .map(|i| Locale::new(LocaleId::new(i as u32)))
             .collect();
-        let backend = self.backend.unwrap_or_else(TransportKind::from_env);
         Arc::new(Cluster {
             locales,
-            comm: CommLayer::with_transport(n, self.latency, self.fault_plan, backend),
+            comm: CommLayer::new(n, self.latency, self.fault_plan),
             privatization: PrivTable::new(),
             topology,
             membership: Membership::new(n),
@@ -213,12 +213,6 @@ impl Cluster {
     #[inline]
     pub fn fault(&self) -> &FaultPlan {
         self.comm.fault()
-    }
-
-    /// Which transport backend this cluster's communication rides on.
-    #[inline]
-    pub fn backend(&self) -> TransportKind {
-        self.comm.transport().kind()
     }
 
     /// The membership detector (everyone `Up` until probes say otherwise).

@@ -7,7 +7,7 @@
 //! caller rediscovered failures one `CommError::LocaleDown` at a time.
 //! This module centralizes that knowledge:
 //!
-//! * **Heartbeats ride the transport seam.** A probe is an ordinary
+//! * **Heartbeats ride the data path.** A probe is an ordinary
 //!   1-byte PUT sent through [`CommLayer`](crate::comm::CommLayer), so it
 //!   is subject to the same fault plan, latency model and accounting as
 //!   data traffic. There is no side channel that could disagree with

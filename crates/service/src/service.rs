@@ -129,7 +129,7 @@ impl<T: Element, S: Scheme> Core<T, S> {
         let target = LocaleId::new(home as u32);
         let membership = self.array.cluster().membership();
         let replicated = self.array.config().replication_factor > 1;
-        // Healthy home: hand off as before. The transport send doubles as
+        // Healthy home: hand off as before. The comm send doubles as
         // the liveness probe — a partitioned link refuses *here*, never
         // hangs. Skipping the detector consult at rf=1 keeps the old
         // code path (and its fault-stream draw sequence) bit-identical.
@@ -179,7 +179,7 @@ impl<T: Element, S: Scheme> Core<T, S> {
         metrics::REQUESTS.inc();
         let (ticket, slot) = Ticket::new();
         // Handing the request to another locale's worker pool is an
-        // active message through the transport. With replication the
+        // active message through the comm layer. With replication the
         // hand-off fails over to a surviving pool; without it, a dead
         // link degrades the answer (`Failed`) rather than availability —
         // the client gets an immediate error, never a hang.
@@ -240,8 +240,8 @@ impl<T: Element, S: Scheme> Core<T, S> {
 
         // Bounds are decided inside the pinned snapshot (`read_many`,
         // `write_many` and `read_range` answer for indices past the view
-        // instead of panicking), so a concurrent `truncate` can cost a
-        // request its element but never fail its batch-mates.
+        // instead of panicking), so a client index past the end costs
+        // that request its element but never fails its batch-mates.
 
         // How a ticket's response maps back onto the batch read plan.
         enum Reads {

@@ -3,56 +3,34 @@
 //! points — then show that every update survived.
 //!
 //! ```text
-//! cargo run --release --example fault_chaos [seed] [-- --backend shmem|mesh]
+//! cargo run --release --example fault_chaos [seed]
 //! ```
 //!
 //! The same seed reproduces the same fault schedule (DESIGN.md §5c);
-//! the printed fingerprint makes that visible across runs — and across
-//! transport backends: it hashes each fault's decision-stream
-//! coordinates, which are a pure function of the seed, so swapping
-//! shmem for mesh changes delivery timing but not the fingerprint.
+//! the printed fingerprint makes that visible across runs: it hashes
+//! each fault's decision-stream coordinates, which are a pure function
+//! of the seed.
 
 use rcuarray_repro::prelude::*;
 use std::time::Duration;
 
 fn main() {
-    let mut seed = 42u64;
-    let mut backend = TransportKind::from_env();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--backend" => {
-                let v = args.next().expect("--backend needs a value");
-                backend = v.parse().unwrap_or_else(|e| panic!("--backend: {e}"));
-            }
-            other => {
-                if let Ok(s) = other.parse() {
-                    seed = s;
-                }
-            }
-        }
-    }
+    let seed = std::env::args()
+        .nth(1)
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(42u64);
 
-    // 10% of remote GETs/PUTs fail with retryable transient errors, the
-    // fourth write-lock acquisition inside resize errors twice, and the
-    // 0→2 link's mesh delivery order is perturbed (a per-link rule —
-    // observation only, so it cannot disturb the fault schedule; the
-    // shmem backend, where send *is* delivery, ignores it).
+    // 10% of remote GETs/PUTs fail with retryable transient errors, and
+    // the fourth write-lock acquisition inside resize errors twice.
+    let plan = FaultPlan::new(seed)
+        .trigger("resize.lock", 3, 2, FaultAction::Error)
+        .fail_gets(0.1)
+        .fail_puts(0.1);
     let cluster = Cluster::builder()
         .topology(Topology::new(4, 2))
-        .backend(backend)
-        .fault_plan(
-            FaultPlan::new(seed)
-                .fail_gets(0.1)
-                .fail_puts(0.1)
-                .reorder_link(LocaleId::new(0), LocaleId::new(2))
-                .trigger("resize.lock", 3, 2, FaultAction::Error),
-        )
+        .fault_plan(plan)
         .build();
-    println!(
-        "cluster: {} over the {backend} transport (fault seed {seed})",
-        cluster.topology()
-    );
+    println!("cluster: {} (fault seed {seed})", cluster.topology());
 
     // Small blocks so the 512-element workload spans all four locales.
     let config = Config {

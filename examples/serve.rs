@@ -18,11 +18,8 @@
 //! end-to-end latency into its two halves.
 //!
 //! ```text
-//! cargo run --release --example serve [-- --backend shmem|mesh]
+//! cargo run --release --example serve
 //! ```
-//!
-//! `--backend` selects the transport the cluster rides (default: the
-//! `RCUARRAY_BACKEND` environment variable, else `shmem`).
 
 use rcuarray_repro::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,25 +32,8 @@ const WRITERS: usize = 2;
 const OPS_PER_CLIENT: usize = 2_000;
 const START_CAPACITY: usize = 4_096;
 
-/// Parse `--backend <shmem|mesh>` from the command line, falling back
-/// to `RCUARRAY_BACKEND`, then `shmem`.
-fn backend_from_args() -> TransportKind {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--backend" {
-            let v = args.next().expect("--backend needs a value");
-            return v.parse().unwrap_or_else(|e| panic!("--backend: {e}"));
-        }
-    }
-    TransportKind::from_env()
-}
-
 fn main() {
-    let backend = backend_from_args();
-    let cluster = Cluster::builder()
-        .topology(Topology::new(LOCALES, 2))
-        .backend(backend)
-        .build();
+    let cluster = Cluster::new(Topology::new(LOCALES, 2));
     let array: EbrArray<u64> = EbrArray::new(&cluster);
     array.resize(START_CAPACITY);
 
@@ -68,7 +48,7 @@ fn main() {
         },
     );
     println!(
-        "serving on {LOCALES} locales over the {backend} transport \
+        "serving on {LOCALES} locales \
          ({READERS} readers, {WRITERS} writers, 1 grower)\n"
     );
 

@@ -43,8 +43,7 @@ pub mod prelude {
     pub use rcuarray_reclaim::{RcuPtr, Reclaim};
     pub use rcuarray_runtime::{
         current_locale, Cluster, CommError, CommMessage, CommStats, FaultAction, FaultPlan,
-        FaultStats, LatencyModel, LinkStats, LocaleId, MeshConfig, MeshTransport, OpKind,
-        RetryPolicy, ShmemTransport, Topology, Transport, TransportKind,
+        FaultStats, LatencyModel, LinkStats, LocaleId, OpKind, RetryPolicy, Topology,
     };
     pub use rcuarray_service::{
         slo_snapshot, Client, Request, Response, Service, ServiceConfig, SloSnapshot,

@@ -2,14 +2,13 @@
 //! byte-capped reclaim backlog the service answers `Overloaded` instead
 //! of wedging; floods shed past the deadline but every ticket resolves;
 //! fault injection (`read.kill`, slow locales) degrades answers, never
-//! the service; a concurrent `truncate` fails no in-bounds request; and
+//! the service; a past-end index fails no in-bounds batch-mate; and
 //! the queue-depth gauge returns to baseline once load stops.
 //!
 //! The SLO counters and gauges are process-wide, so every test holds
 //! `SERIAL` — assertions on deltas and baselines need exclusive use.
 
 use rcuarray_repro::prelude::*;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Duration;
 
@@ -315,66 +314,53 @@ fn slow_locale_causes_sheds_then_service_recovers() {
     assert_eq!(slo_snapshot().queue_depth, 0);
 }
 
-/// A concurrent `truncate` costs a request only the element it cut off.
-/// One thread cycles the array between 48 and 64 elements while the
-/// client submits a request for index 0 (never truncated) and one for
-/// index 56 back to back, so the two often share a batch. Bounds are
-/// decided inside the batch's pinned snapshot, so the index-0 request
-/// must always be served, whatever happens to index 56 beside it.
+/// A client index past the end costs a request only its own element.
+/// The client submits `Get`/`Put` on index 0 and on an index past
+/// `capacity()` back to back into the one worker's queue, so they often
+/// share a batch. Bounds are decided inside the batch's pinned snapshot,
+/// so the index-0 requests are always served and the past-end ones answer
+/// `Value(None)` / `applied: 0` instead of failing the batch.
 #[test]
-fn concurrent_truncate_never_fails_in_bounds_requests() {
+fn past_end_requests_never_fail_their_batch_mates() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    const ROUNDS: u64 = 2_000;
-    // Truncated blocks stay owned by the array until it drops (~0.3 KB
-    // a cycle here), so the cycler stops after this many.
-    const MAX_CYCLES: u32 = 50_000;
+    const ROUNDS: u64 = 500;
     let c = cluster(1);
     let array: EbrArray<u64> = EbrArray::with_config(&c, small_cfg());
     array.resize(64);
+    let past = array.capacity() + 8;
     let service = Service::start(
         array,
         ServiceConfig {
+            workers_per_locale: 1,
             deadline: Duration::from_secs(5),
             ..ServiceConfig::default()
         },
     );
     let client = service.client();
-    let stop = AtomicBool::new(false);
-    let (mut get_failed, mut put_failed, mut cut) = (0u64, 0u64, 0u64);
-    std::thread::scope(|s| {
-        s.spawn(|| {
-            for _ in 0..MAX_CYCLES {
-                if stop.load(Ordering::Relaxed) {
-                    break;
-                }
-                service.array().truncate(48);
-                service.array().resize(16);
-            }
-        });
-        for i in 0..ROUNDS {
-            let near = client.submit(Request::Get { idx: 0 });
-            let far = client.submit(Request::Get { idx: 56 });
-            if !matches!(near.wait(), Response::Value(Some(_))) {
-                get_failed += 1;
-            }
-            cut += u64::from(far.wait() == Response::Value(None));
-            let near = client.submit(Request::Put { idx: 0, value: i });
-            let far = client.submit(Request::Put { idx: 56, value: i });
-            if near.wait() != (Response::Done { applied: 1 }) {
-                put_failed += 1;
-            }
-            cut += u64::from(far.wait() == (Response::Done { applied: 0 }));
-        }
-        stop.store(true, Ordering::Relaxed);
-    });
-    assert_eq!(
-        (get_failed, put_failed),
-        (0, 0),
-        "in-bounds requests failed beside a truncated index ({ROUNDS} rounds each)"
-    );
+    let before = slo_snapshot();
+    for i in 0..ROUNDS {
+        let tickets = [
+            client.submit(Request::Get { idx: 0 }),
+            client.submit(Request::Get { idx: past }),
+            client.submit(Request::Put { idx: 0, value: i }),
+            client.submit(Request::Put {
+                idx: past,
+                value: i,
+            }),
+        ];
+        let [near_get, far_get, near_put, far_put] = tickets.map(|t| t.wait());
+        assert!(matches!(near_get, Response::Value(Some(_))), "{near_get:?}");
+        assert_eq!(far_get, Response::Value(None));
+        assert_eq!(near_put, Response::Done { applied: 1 });
+        assert_eq!(far_put, Response::Done { applied: 0 });
+    }
+    let after = slo_snapshot();
+    // Every two requests adjacent in the queue pair an in-bounds index
+    // with a past-end one, so fewer batches than requests means some
+    // batch held both.
     assert!(
-        cut > 0,
-        "the cycler never cut index 56 off: the race went untested"
+        after.batches - before.batches < after.requests - before.requests,
+        "no batch held two requests: the shared-batch case went untested"
     );
     service.shutdown();
 }
