@@ -1844,8 +1844,13 @@ impl IterOutcome {
                 schedule: schedule.clone(),
             });
         }
-        for (label, bytes) in self.leaks {
-            report.leaks.push(ShadowLeak { seed, label, bytes });
+        // A run aborted as sleep-set redundant stops mid-scenario: what it
+        // had retired but not yet reclaimed is an artefact of the cut, and
+        // an equivalent execution runs to completion elsewhere.
+        if !self.redundant {
+            for (label, bytes) in self.leaks {
+                report.leaks.push(ShadowLeak { seed, label, bytes });
+            }
         }
         if self.budget_exhausted {
             let threads: Vec<usize> = self.trace.iter().map(|t| t.thread).collect();

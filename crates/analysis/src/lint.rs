@@ -39,7 +39,7 @@
 //! 7. **No leaked read guards**: `std::mem::forget` or
 //!    `ManuallyDrop::new` applied to a `let`-bound read-side guard
 //!    (`read_lock()` / `pin()`) suppresses the drop that ends the
-//!    critical section — the epoch/hazard/QSBR record stays pinned
+//!    critical section — the epoch/QSBR record stays pinned
 //!    forever and reclamation wedges (the shadow-heap oracle would show
 //!    it as an unbounded `Retired` backlog). Binding names are tracked
 //!    with the same brace-depth scoping as rule 6; `Retired::leak`'s
@@ -100,11 +100,11 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     // contract (element visibility is ordered by snapshot publication).
     "crates/rcuarray/src/element.rs",
     // Pre-facade crates, audited wholesale: the abstract model checker
-    // and the baseline arrays (whose hazard-pointer domain uses Relaxed
-    // only for its statistics counters and the slot-claim hint).
+    // and the baseline arrays (`UnsafeArray` uses Relaxed only for its
+    // resize statistics counter, a std atomic never used for
+    // synchronization).
     "crates/model/",
     "crates/baselines/",
-    "crates/collections/",
     // Comm/fault counters in the simulated runtime (not migrated; the
     // migrated global_lock.rs gets a narrow entry below).
     "crates/runtime/src/comm.rs",
@@ -197,11 +197,9 @@ pub const SYNC_ALLOWLIST: &[&str] = &[
     // The facade itself wraps the std types.
     "crates/analysis/",
     // Not-yet-migrated crates (tracked in ROADMAP): the model checker,
-    // baselines, collections, and the unmigrated parts of the simulated
-    // runtime.
+    // baselines, and the unmigrated parts of the simulated runtime.
     "crates/model/",
     "crates/baselines/",
-    "crates/collections/",
     "crates/runtime/",
 ];
 
@@ -907,7 +905,7 @@ mod tests {
     #[test]
     fn bare_counter_ok_outside_instrumented_crates() {
         let v = lint_source(
-            Path::new("crates/collections/src/dist_table.rs"),
+            Path::new("crates/baselines/src/unsafe_array.rs"),
             "self.len.fetch_add(1, Ordering::Relaxed);\n",
         );
         assert!(!v.iter().any(|v| v.rule == Rule::BareCounterOutsideObs));
@@ -1085,7 +1083,7 @@ mod tests {
     #[test]
     fn unbounded_ctors_not_enforced_outside_service_crate() {
         let v = lint_source(
-            Path::new("crates/collections/src/dist_table.rs"),
+            Path::new("crates/baselines/src/unsafe_array.rs"),
             "let (tx, rx) = mpsc::channel();\nlet buf = VecDeque::new();\n",
         );
         assert!(!v.iter().any(|v| v.rule == Rule::UnboundedQueue));
@@ -1100,7 +1098,7 @@ mod tests {
             "comm.record_local(here);\n",
             "comm.record_retry(here);\n",
         ] {
-            let v = lint_source(Path::new("crates/collections/src/dist_vector.rs"), src);
+            let v = lint_source(Path::new("crates/baselines/src/unsafe_array.rs"), src);
             assert_eq!(
                 v.iter().filter(|v| v.rule == Rule::RawComm).count(),
                 1,
@@ -1154,8 +1152,8 @@ mod tests {
 
     #[test]
     fn raw_placement_not_enforced_outside_rcuarray() {
-        // The runtime defines the counter; collections use their own
-        // spreading logic — rule 10 scopes to crates/rcuarray only.
+        // The runtime defines the counter — rule 10 scopes to
+        // crates/rcuarray only.
         let v = lint_source(
             Path::new("crates/runtime/src/dist.rs"),
             "pub struct RoundRobinCounter { next: AtomicU32 }\n",

@@ -3,7 +3,7 @@
 //! backlog behind it grows forever. Not compiled — exercised by the
 //! lint CLI tests via an explicit path argument.
 
-fn leak_a_guard(domain: &HazardDomain) {
-    let guard = domain.read_lock();
+fn leak_a_guard(zone: &EpochZone) {
+    let guard = zone.read_lock();
     std::mem::forget(guard);
 }

@@ -82,9 +82,9 @@ fn unbounded_queue_fixture_fails() {
 
 #[test]
 fn raw_comm_fixture_fails() {
-    // The fixture sits under a crates/collections/ subpath so rule 9's
+    // The fixture sits under a crates/baselines/ subpath so rule 9's
     // outside-the-runtime scoping applies to it when linted directly.
-    let fixture = crate_dir().join("tests/fixtures/crates/collections/raw_comm.rs");
+    let fixture = crate_dir().join("tests/fixtures/crates/baselines/raw_comm.rs");
     assert!(fixture.exists(), "fixture missing at {}", fixture.display());
     let out = lint_bin().arg(&fixture).output().expect("run lint");
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -1,5 +1,5 @@
 //! The real RCUArray under the checker: concurrent reads against a
-//! resize, for every reclamation scheme (hazard pointers included).
+//! resize, for every reclamation scheme.
 //!
 //! The paper's core claim (§III-C): readers may run fully concurrent
 //! with a resize; the writer installs the grown block table, waits out
@@ -19,7 +19,6 @@ use rcuarray::{
     Config as ArrayConfig, EbrArray, EbrScheme, LeakScheme, QsbrScheme, RcuArray, Scheme,
 };
 use rcuarray_analysis::{thread, Checker, Config, Policy};
-use rcuarray_baselines::HazardScheme;
 use rcuarray_runtime::{Cluster, Topology};
 use std::sync::Arc;
 
@@ -88,11 +87,6 @@ fn leak_read_concurrent_with_resize_is_clean() {
     read_concurrent_with_resize::<LeakScheme>(sampled(0x5eed_0a05));
 }
 
-#[test]
-fn hazard_read_concurrent_with_resize_is_clean() {
-    read_concurrent_with_resize::<HazardScheme>(sampled(0x5eed_0a07));
-}
-
 /// The paper's core scenario under [`Policy::Dpor`] for both deferred
 /// back-ends: systematic schedule enumeration of the read-vs-resize
 /// window instead of seed sampling. The array's grace-period machinery
@@ -110,19 +104,6 @@ fn ebr_read_concurrent_with_resize_clean_under_dpor() {
 #[test]
 fn qsbr_read_concurrent_with_resize_clean_under_dpor() {
     read_concurrent_with_resize::<QsbrScheme>(Config {
-        policy: Policy::Dpor,
-        iterations: 12,
-        max_steps: 200_000,
-        ..Config::default()
-    });
-}
-
-/// Hazard pointers publish and re-validate inside `protect`, and the
-/// resize's retire scans every slot: the read-vs-resize window is where
-/// that handshake runs.
-#[test]
-fn hazard_read_concurrent_with_resize_clean_under_dpor() {
-    read_concurrent_with_resize::<HazardScheme>(Config {
         policy: Policy::Dpor,
         iterations: 12,
         max_steps: 200_000,

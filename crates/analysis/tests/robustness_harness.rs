@@ -150,7 +150,7 @@ fn bounded_backlog_refuses_at_cap_and_drains_after_quiescence() {
         let mut held_back = None;
         for _ in 0..16 {
             let f = freed.clone();
-            let retired = Retired::with_hint(256, 0, move || {
+            let retired = Retired::with_bytes(256, move || {
                 f.fetch_add(1, Ordering::AcqRel);
             });
             match domain.try_retire(retired) {

@@ -13,8 +13,9 @@
 
 use rcuarray_analysis::atomic::{AtomicPtr, Ordering};
 use rcuarray_analysis::shadow::TrackedCell;
-use rcuarray_analysis::{thread, Checker, Config, Policy, ShadowKind};
-use rcuarray_baselines::{HazardDomain, HazardGuard};
+use rcuarray_analysis::{thread, Checker, Config, Policy, Report, ShadowKind};
+use rcuarray_ebr::{EpochGuard, EpochZone};
+use rcuarray_qsbr::QsbrDomain;
 use rcuarray_reclaim::{Reclaim, ReclaimStats, Retired};
 use std::sync::Arc;
 
@@ -140,57 +141,79 @@ fn deliberate_leak_is_not_reported() {
     assert!(report.leaks.is_empty(), "{report}");
 }
 
-/// The hazard-pointer handshake under the oracle: a reader protects the
-/// published pointer through `R::protect` and touches the tracked payload
-/// while the writer concurrently unlinks the pointer and retires it
-/// through the same domain — nothing joins the reader first, so DPOR
-/// explores the protect/validate steps against the unlink/scan steps.
+/// A real scheme's read/retire handshake under the oracle: a reader
+/// takes `R`'s guard, loads the published pointer and touches the
+/// tracked payload while the writer concurrently unlinks the pointer and
+/// retires it through the same domain — nothing joins the reader before
+/// the retire, so DPOR explores the guard/load steps against the
+/// unlink/retire steps. The reader then calls `leave`: a checked
+/// thread's TLS destructors run only after the session, so an exited QSBR
+/// reader would stay registered and gate reclamation unless it parks.
+/// The final `quiesce` must then leave nothing pending — a scheme that
+/// never reclaims fails here, before teardown could reclaim for it.
 ///
 /// The payload's storage outlives the scenario and the retire closure
 /// frees nothing: the tracked cell stands in for the dereference, so a
 /// broken protocol shows up as a shadow report, never as a real
 /// use-after-free in the test process.
-fn hazard_handshake<R: Reclaim + Default>() {
+fn handshake<R: Reclaim + Default>(leave: fn(&R)) {
     let domain = Arc::new(R::default());
-    let cell = Arc::new(TrackedCell::new("hazard-payload", 11u64));
+    let cell = Arc::new(TrackedCell::new("handshake-payload", 11u64));
     let payload = Box::into_raw(Box::new(11u64));
     let src = Arc::new(AtomicPtr::new(payload));
 
     let (d2, c2, s2) = (domain.clone(), cell.clone(), src.clone());
     let reader = thread::spawn(move || {
-        let (_guard, p) = d2.protect(&s2);
-        if !p.is_null() {
-            assert_eq!(c2.read(), 11);
+        {
+            let _guard = d2.read_lock();
+            // Loaded only after the guard is live.
+            if !s2.load(Ordering::Acquire).is_null() {
+                assert_eq!(c2.read(), 11);
+            }
         }
+        leave(&d2);
     });
 
-    let old = src.swap(std::ptr::null_mut(), Ordering::SeqCst);
-    domain.retire(Retired::with_hint(8, old as usize, || {}).tracked(cell.id()));
+    src.swap(std::ptr::null_mut(), Ordering::SeqCst);
+    domain.retire(Retired::with_bytes(8, || {}).tracked(cell.id()));
     reader.join().unwrap();
+    domain.quiesce();
+    assert_eq!(
+        domain.reclaim_stats().pending,
+        0,
+        "retired payload not reclaimed"
+    );
     // SAFETY: the reader has joined and the source no longer holds it.
     drop(unsafe { Box::from_raw(payload) });
 }
 
-/// The writer's slot scan spin-waits while the reader's hazard is set,
+/// Explore [`handshake`] on `R` under DPOR.
+///
+/// EBR's retire drains by spin-waiting on the reader's parity counter,
 /// and every extra spin iteration is a new dependence race with the
-/// reader's clearing store: unbounded, DPOR would extend that chain
-/// forever before backtracking to shallower branches. The step cap cuts
-/// each chain (those runs abort as budget-exhausted), so the exploration
+/// reader's unpin: unbounded, DPOR would extend that chain forever
+/// before backtracking to shallower branches. The step cap cuts each
+/// chain (those runs abort as budget-exhausted), so the exploration
 /// completes and reaches every shallow branch — including the one the
-/// mutation below needs.
-fn hazard_dpor_config() -> Config {
-    Config {
-        max_steps: 700,
+/// early-free mutation below needs.
+///
+/// The first domain built in the process interns its metric handles
+/// under the registry lock, an instrumented scheduling point; building
+/// one outside the checker first keeps every explored run replayable.
+fn explore_handshake<R: Reclaim + Default>(leave: fn(&R)) -> Report {
+    drop(R::default());
+    let config = Config {
+        max_steps: 200,
         ..dpor_config(4000)
-    }
+    };
+    Checker::new(config).run(move || handshake(leave))
 }
 
-/// The real `HazardDomain` is clean on every explored schedule. Runs cut
-/// off mid-spin end with the payload still retired, which the oracle
-/// reports as a leak: there is at most one per aborted run.
-#[test]
-fn hazard_protect_revalidate_clean_under_dpor() {
-    let report = Checker::new(hazard_dpor_config()).run(hazard_handshake::<HazardDomain>);
+/// A clean handshake: no shadow report on any explored schedule, the
+/// exploration completes, and runs cut off mid-drain (at most one leak
+/// each, the payload still retired) are the only leaks.
+fn assert_handshake_clean<R: Reclaim + Default>(leave: fn(&R)) {
+    let report = explore_handshake(leave);
     assert!(report.is_clean(), "{report}");
     assert!(
         report.leaks.len() <= report.budget_exhausted.len(),
@@ -200,41 +223,39 @@ fn hazard_protect_revalidate_clean_under_dpor() {
     assert!(dpor.complete, "{dpor}");
 }
 
-/// Seeded mutation: hazard pointers whose `protect` publishes the loaded
-/// pointer but skips the SeqCst re-validation load. A writer can then
-/// unlink and scan between the reader's load and its publication, and
-/// free the object the reader goes on to use.
+#[test]
+fn ebr_handshake_clean_under_dpor() {
+    assert_handshake_clean::<EpochZone>(|_| {});
+}
+
+#[test]
+fn qsbr_handshake_clean_under_dpor() {
+    assert_handshake_clean(QsbrDomain::park);
+}
+
+/// Seeded mutation: EBR whose `retire` runs the destructor at once,
+/// without draining the readers pinned in the old epoch. A reader that
+/// loaded the pointer before the unlink then uses a reclaimed object.
 #[derive(Default)]
-struct SkipRevalidate(HazardDomain);
+struct EarlyFreeEbr(EpochZone);
 
-impl Reclaim for SkipRevalidate {
-    type Guard<'a> = HazardGuard<'a>;
+impl Reclaim for EarlyFreeEbr {
+    type Guard<'a> = EpochGuard<'a>;
 
-    fn read_lock(&self) -> HazardGuard<'_> {
+    fn read_lock(&self) -> EpochGuard<'_> {
         self.0.read_lock()
     }
 
-    fn protect<'a, T>(&'a self, src: &AtomicPtr<T>) -> (HazardGuard<'a>, *mut T) {
-        let guard = self.0.read_lock();
-        let p = src.load(Ordering::Acquire);
-        guard.publish(p);
-        (guard, p)
-    }
-
     fn retire(&self, retired: Retired) {
-        self.0.retire(retired)
+        retired.run();
     }
 
     fn quiesce(&self) -> usize {
         0
     }
 
-    fn guards_reads(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
-        "hazard-skip-revalidate"
+        "ebr-early-free"
     }
 
     fn reclaim_stats(&self) -> ReclaimStats {
@@ -243,26 +264,24 @@ impl Reclaim for SkipRevalidate {
 }
 
 #[test]
-fn hazard_skipped_revalidation_caught_on_every_dpor_run() {
+fn ebr_early_free_caught_on_every_dpor_run() {
     for round in 0..2 {
-        let report = Checker::new(hazard_dpor_config()).run(hazard_handshake::<SkipRevalidate>);
+        let report = explore_handshake::<EarlyFreeEbr>(|_| {});
         assert!(
             !report.shadow.is_empty(),
-            "round {round}: skipped re-validation not caught: {report}"
+            "round {round}: early free not caught: {report}"
         );
         let v = report.shadow[0].clone();
         assert_eq!(v.kind, ShadowKind::UseAfterReclaim, "round {round}: {v}");
-        assert_eq!(v.label, "hazard-payload");
+        assert_eq!(v.label, "handshake-payload");
         let schedule = v
             .schedule
             .clone()
             .expect("DPOR violations carry a schedule");
 
-        let replay = Checker::replay(
-            schedule.as_str(),
-            &Config::default(),
-            hazard_handshake::<SkipRevalidate>,
-        );
+        let replay = Checker::replay(schedule.as_str(), &Config::default(), || {
+            handshake::<EarlyFreeEbr>(|_| {})
+        });
         assert!(
             !replay.shadow.is_empty(),
             "round {round}: schedule {schedule:?} did not reproduce"

@@ -2,9 +2,9 @@
 
 //! # rcuarray-baselines — every comparator from the paper's evaluation
 //!
-//! The RCUArray paper evaluates against, or motivates itself by, several
-//! other designs. All of them are implemented here, from scratch, on the
-//! same simulated runtime so comparisons are apples-to-apples:
+//! The RCUArray paper measures EBR and QSBR against two non-RCU
+//! baselines. Both are implemented here, from scratch, on the same
+//! simulated runtime so comparisons are apples-to-apples:
 //!
 //! * [`UnsafeArray`] — the paper's *ChapelArray*: an unsynchronized array
 //!   over Chapel's standard `BlockDist` (contiguous chunk per locale).
@@ -14,17 +14,9 @@
 //! * [`SyncArray`] — the paper's *SyncArray*: "a safer variant … that uses
 //!   mutual exclusion via sync variables". Every operation, including
 //!   reads, takes a cluster-wide full/empty lock.
-//! * [`HazardArray`] — §I's alternative reclamation: Michael's hazard
-//!   pointers instead of EBR/QSBR, quantifying "a balanced but
-//!   noticeable overhead to both read and write operations". It is not a
-//!   separate array: [`HazardScheme`] plugs a per-locale [`HazardDomain`]
-//!   into `RcuArray`'s `Scheme` seam, so `HazardArray` is
-//!   `RcuArray<T, HazardScheme>` and runs the identical code path.
 
-pub mod hazard_domain;
 pub mod sync_array;
 pub mod unsafe_array;
 
-pub use hazard_domain::{HazardArray, HazardDomain, HazardGuard, HazardScheme};
 pub use sync_array::SyncArray;
 pub use unsafe_array::UnsafeArray;

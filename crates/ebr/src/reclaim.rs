@@ -38,11 +38,6 @@ impl Reclaim for EpochZone {
     }
 
     #[inline]
-    fn guards_reads(&self) -> bool {
-        true
-    }
-
-    #[inline]
     fn name(&self) -> &'static str {
         "ebr"
     }
@@ -179,7 +174,6 @@ mod tests {
         }
         let s = zone.reclaim_stats();
         assert_eq!(s.guards, 5);
-        assert!(zone.guards_reads());
         assert_eq!(zone.name(), "ebr");
         assert!(!s.domain_wide, "zones are per-locale; stats sum");
     }

@@ -31,11 +31,6 @@ impl Reclaim for QsbrDomain {
     }
 
     #[inline]
-    fn guards_reads(&self) -> bool {
-        false
-    }
-
-    #[inline]
     fn name(&self) -> &'static str {
         "qsbr"
     }
@@ -93,7 +88,6 @@ mod tests {
         assert_eq!(c.load(Ordering::SeqCst), 0, "retire must not free eagerly");
         assert_eq!(d.quiesce(), 1);
         assert_eq!(c.load(Ordering::SeqCst), 1);
-        assert!(!d.guards_reads());
         assert_eq!(Reclaim::name(&d), "qsbr");
     }
 

@@ -16,7 +16,7 @@
 //! [`get_ref`](RcuArray::get_ref)) and `Resize`
 //! ([`resize`](RcuArray::resize)) implement Algorithm 3, with the
 //! `isQSBR` conditional realized by the [`Scheme`] type parameter: the
-//! array calls the scheme's [`Reclaim`] engine (`protect` / `retire` /
+//! array calls the scheme's [`Reclaim`] engine (`read_lock` / `retire` /
 //! `quiesce`) and never branches on which scheme it runs under.
 
 use crate::block::{Block, BlockRef, BlockRegistry};
@@ -500,7 +500,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // scheme decides that is safe.
         let bytes = snapshot_bytes(unsafe { old_ptr.as_ref() });
         let old = SendSnap(old_ptr);
-        let retired = Retired::with_hint(bytes, old_ptr.as_ptr() as usize, move || {
+        let retired = Retired::with_bytes(bytes, move || {
             // SAFETY: unlinked by the caller; the scheme runs this
             // only once no reader can still hold the snapshot.
             unsafe { reclaim_box(old.into_inner()) };
@@ -550,9 +550,11 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // (rather than manual pin/unpin) matters: `f` can panic — e.g. an
         // out-of-bounds index — and a leaked EBR pin would deadlock every
         // future writer on this locale's parity counter.
-        // `protect` is the guard plus the snapshot load; hazard pointers
-        // also publish and re-validate the pointer inside it.
-        let (guard, snap) = st.reclaim().protect(st.snapshot_cell());
+        let guard = st.reclaim().read_lock();
+        // SAFETY: loaded after the guard is live, which obliges writers to
+        // keep this snapshot alive until the guard drops, and this thread
+        // crosses no quiescent point inside `f`.
+        let snap = unsafe { st.snapshot_ref() };
         // Chaos hook: a triggered `read.kill` dies *inside* the read-side
         // critical section, proving the guard's unwind path releases the
         // pin (one relaxed load when no trigger is armed).
@@ -561,10 +563,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             .fault()
             .hit("read.kill")
             .expect("reader killed by fault plan");
-        // SAFETY: `snap` is the published snapshot `protect` returned with
-        // the live guard, and this thread crosses no quiescent point
-        // inside `f`.
-        let ret = f(unsafe { &*snap });
+        let ret = f(snap);
         drop(guard);
         ret
     }

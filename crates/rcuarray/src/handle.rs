@@ -56,21 +56,13 @@ impl<T: Element, R: Reclaim> LocaleState<T, R> {
         &self.reclaim
     }
 
-    /// The published snapshot pointer, for the read path's
-    /// [`Reclaim::protect`].
-    #[inline]
-    pub(crate) fn snapshot_cell(&self) -> &AtomicPtr<Snapshot<T>> {
-        &self.snapshot
-    }
-
     /// Borrow the current snapshot.
     ///
     /// # Safety
     /// The caller must guarantee the snapshot cannot be reclaimed for the
-    /// lifetime of the returned reference: hold the array's write lock.
-    /// Readers go through [`Reclaim::protect`] on `snapshot_cell`
-    /// instead, so pointer-based
-    /// schemes see which snapshot they hold.
+    /// lifetime of the returned reference: hold the array's write lock,
+    /// or a read guard taken before this call and held while the
+    /// reference is used.
     #[inline]
     pub unsafe fn snapshot_ref(&self) -> &Snapshot<T> {
         // Acquire pairs with the Release publication in `publish`.

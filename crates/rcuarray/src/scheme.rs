@@ -8,9 +8,9 @@
 //! sealed marker trait with an `IS_QSBR` const bool that `array.rs`
 //! branched on. That couples the array to every scheme it will ever
 //! support. A [`Scheme`] is now a factory for [`Reclaim`] engines: the
-//! array calls `protect`/`retire`/`quiesce` and never branches, so new
-//! schemes ([`LeakScheme`], or the out-of-crate `HazardScheme` in
-//! `rcuarray-baselines`) plug in with **zero** changes to `array.rs`.
+//! array calls `read_lock`/`retire`/`quiesce` and never branches, so a
+//! new scheme (as [`LeakScheme`] did) plugs in with **zero** changes to
+//! `array.rs`.
 //! The compiler still resolves everything statically — `S::Reclaim` is a
 //! concrete type, exactly like Chapel's `param` specialization.
 

@@ -8,30 +8,23 @@
 //! a boolean: the read-side protocol lives in a GAT guard type, the
 //! write-side protocol in [`retire`](Reclaim::retire), and quiescence in
 //! [`quiesce`](Reclaim::quiesce). `RcuArray`, the one RCU cell
-//! [`RcuPtr`] (defined here), the collections and the bench harness all
-//! consume this one interface; `rcuarray-ebr` and `rcuarray-qsbr`
-//! implement it natively on `EpochZone` and `QsbrDomain`.
-//!
-//! Two further schemes prove the seam is real without touching any
-//! consumer: [`LeakReclaim`] (defined here — no-op guards, never frees,
-//! the honest upper bound the paper's UnsafeArray plays) and
-//! `HazardDomain` in `rcuarray-baselines` (Michael's hazard pointers,
-//! which override [`protect`](Reclaim::protect)).
+//! [`RcuPtr`] (defined here) and the bench harness all consume this one
+//! interface; `rcuarray-ebr` and `rcuarray-qsbr` implement it natively on
+//! `EpochZone` and `QsbrDomain`, and [`LeakReclaim`] (defined here —
+//! no-op guards, never frees, the honest upper bound the paper's
+//! UnsafeArray plays) is the third.
 //!
 //! ## The contract
 //!
-//! * A value may be dereferenced through a scheme-protected pointer only
-//!   while the guard [`protect`](Reclaim::protect) returned with it is
-//!   live. Readers go through `protect`, never a bare load after
-//!   [`read_lock`](Reclaim::read_lock): a pointer-based scheme must see
-//!   which pointer a reader holds. Schemes whose
-//!   [`guards_reads`](Reclaim::guards_reads) is `false` make the guard a
-//!   no-op token and protect readers structurally instead — deferral
-//!   until quiescence, or never freeing at all.
+//! * A live guard protects everything loaded after it: a pointer loaded
+//!   (with `Acquire`) once [`read_lock`](Reclaim::read_lock) has returned
+//!   may be dereferenced until the guard drops. QSBR and leak make the
+//!   guard a no-op token and protect readers structurally instead —
+//!   deferral until quiescence, or never freeing at all.
 //! * [`retire`](Reclaim::retire) takes ownership of an unlinked object's
 //!   destructor. The scheme chooses *when* to run it: synchronously after
-//!   draining readers (EBR, hazard), deferred until a quiescent state
-//!   (QSBR), or never (leak).
+//!   draining readers (EBR), deferred until a quiescent state (QSBR), or
+//!   never (leak).
 //! * [`quiesce`](Reclaim::quiesce) announces the calling thread holds no
 //!   protected pointers, returning how many retired objects were freed.
 //!   Synchronous schemes return 0.
@@ -54,7 +47,7 @@
 //!   counts as *stalled*: QSBR quarantines it (force-park), EBR flips the
 //!   writer into an evacuation epoch instead of spinning forever.
 
-use rcuarray_analysis::atomic::{AtomicPtr, AtomicU64, Ordering};
+use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_obs::LazyCounter;
 
 mod rcu_ptr;
@@ -89,15 +82,10 @@ pub fn pressure_event_totals() -> (u64, u64, u64) {
 }
 
 /// A retired object: an unlinked allocation's destructor, plus the
-/// accounting hints schemes key on.
-///
-/// The byte hint feeds backlog gauges (QSBR's `pending_bytes`); the
-/// address hint lets pointer-scanning schemes (hazard pointers) wait for
-/// the exact retired pointer to evacuate. Schemes that need neither
-/// simply ignore them.
+/// approximate heap footprint that feeds backlog gauges (QSBR's
+/// `pending_bytes`) and the [`PressureConfig`] budget.
 pub struct Retired {
     bytes: usize,
-    addr: usize,
     run: Box<dyn FnOnce() + Send>,
     /// Shadow-heap identity (fresh id, never the address) for the
     /// checker's reclamation-lifecycle oracle. `None` for untracked
@@ -107,22 +95,15 @@ pub struct Retired {
 }
 
 impl Retired {
-    /// A retired object with no accounting hints.
+    /// A retired object with no byte footprint.
     pub fn new(run: impl FnOnce() + Send + 'static) -> Self {
-        Self::with_hint(0, 0, run)
+        Self::with_bytes(0, run)
     }
 
     /// A retired object carrying an approximate heap footprint.
     pub fn with_bytes(bytes: usize, run: impl FnOnce() + Send + 'static) -> Self {
-        Self::with_hint(bytes, 0, run)
-    }
-
-    /// A retired object carrying both a byte footprint and the retired
-    /// pointer's address (for hazard-style scanning schemes).
-    pub fn with_hint(bytes: usize, addr: usize, run: impl FnOnce() + Send + 'static) -> Self {
         Retired {
             bytes,
-            addr,
             run: Box::new(run),
             #[cfg(feature = "check")]
             shadow: None,
@@ -147,13 +128,6 @@ impl Retired {
     #[inline]
     pub fn bytes(&self) -> usize {
         self.bytes
-    }
-
-    /// Address of the retired allocation (0 when the retirer provided
-    /// none).
-    #[inline]
-    pub fn addr(&self) -> usize {
-        self.addr
     }
 
     /// Run the destructor now (the scheme has proven no reader holds the
@@ -206,7 +180,6 @@ impl std::fmt::Debug for Retired {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Retired")
             .field("bytes", &self.bytes)
-            .field("addr", &self.addr)
             .finish()
     }
 }
@@ -372,11 +345,10 @@ impl std::fmt::Display for Backpressure {
 /// and leaves the rest zero.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ReclaimStats {
-    /// Read-side guard acquisitions (EBR pins, hazard protections; zero
-    /// for schemes whose guards are free).
+    /// Read-side guard acquisitions (EBR pins; zero for schemes whose
+    /// guards are free).
     pub guards: u64,
-    /// Read-side protocol retries (EBR's read-increment-verify loop,
-    /// hazard re-validations).
+    /// Read-side protocol retries (EBR's read-increment-verify loop).
     pub guard_retries: u64,
     /// Writer-side epoch advances (EBR).
     pub advances: u64,
@@ -453,27 +425,9 @@ pub trait Reclaim: Send + Sync + 'static {
     where
         Self: 'a;
 
-    /// Enter a read-side critical section.
+    /// Enter a read-side critical section. Every pointer loaded (with
+    /// `Acquire`) after this returns stays valid until the guard drops.
     fn read_lock(&self) -> Self::Guard<'_>;
-
-    /// Enter a read-side critical section and load the pointer published
-    /// in `src`; the returned pointer may be dereferenced while the guard
-    /// is live. This is the one read step every scheme can serve:
-    /// epoch-style schemes protect everything a guard-holder loads, so the
-    /// default is [`read_lock`](Self::read_lock) followed by one `Acquire`
-    /// load; pointer-based schemes (hazard pointers) override it with
-    /// their publish-then-revalidate loop.
-    ///
-    /// Always inlined so the default compiles to exactly the sequence a
-    /// reader ran before this step existed: the `read_lock` call, then
-    /// the load in the caller — no guard/pointer pair through memory.
-    #[inline(always)]
-    fn protect<'a, T>(&'a self, src: &AtomicPtr<T>) -> (Self::Guard<'a>, *mut T) {
-        let guard = self.read_lock();
-        // Loaded only after the guard is live: the guard obliges writers
-        // to keep whatever this load returns alive until it drops.
-        (guard, src.load(Ordering::Acquire))
-    }
 
     /// Hand over an unlinked object; the scheme frees it once no reader
     /// can hold it (possibly before returning, possibly never).
@@ -483,11 +437,6 @@ pub trait Reclaim: Send + Sync + 'static {
     /// whatever the scheme's policy allows. Returns the number of retired
     /// objects freed by this call (0 for synchronous schemes).
     fn quiesce(&self) -> usize;
-
-    /// Whether readers must hold a guard for safety. `false` means the
-    /// guard is advisory (participation registration) and reads are
-    /// structurally protected.
-    fn guards_reads(&self) -> bool;
 
     /// Scheme name for harness output ("ebr", "qsbr", "leak", ...).
     fn name(&self) -> &'static str;
@@ -654,11 +603,6 @@ impl Reclaim for LeakReclaim {
     }
 
     #[inline]
-    fn guards_reads(&self) -> bool {
-        false
-    }
-
-    #[inline]
     fn name(&self) -> &'static str {
         "leak"
     }
@@ -695,7 +639,6 @@ mod tests {
             h.fetch_add(1, Ordering::SeqCst);
         });
         assert_eq!(r.bytes(), 64);
-        assert_eq!(r.addr(), 0);
         r.run();
         assert_eq!(hits.load(Ordering::SeqCst), 1);
     }
@@ -704,7 +647,7 @@ mod tests {
     fn retired_into_parts_preserves_the_closure() {
         let hits = Arc::new(AtomicUsize::new(0));
         let h = Arc::clone(&hits);
-        let (bytes, run) = Retired::with_hint(8, 0xdead, move || {
+        let (bytes, run) = Retired::with_bytes(8, move || {
             h.fetch_add(1, Ordering::SeqCst);
         })
         .into_parts();
@@ -738,7 +681,6 @@ mod tests {
             "LeakReclaim must never run a destructor"
         );
         assert_eq!(leak.reclaim_stats().pending_bytes, 160);
-        assert!(!leak.guards_reads());
         assert_eq!(leak.name(), "leak");
         // Guard is a free token.
         leak.read_lock();

@@ -78,7 +78,10 @@ impl<T: Send + Sync + 'static, R: Reclaim> RcuPtr<T, R> {
     /// cannot outlive the call.
     #[inline]
     pub fn read<U>(&self, f: impl FnOnce(&T) -> U) -> U {
-        let (_guard, snap) = self.reclaim.protect(&self.ptr);
+        let _guard = self.reclaim.read_lock();
+        // Loaded only after the guard is live: the guard obliges writers
+        // to keep whatever this load returns alive until it drops.
+        let snap = self.ptr.load(Ordering::Acquire);
         // SAFETY: `snap` is the published snapshot, protected by `_guard`
         // until the end of this call (under QSBR by the thread-level
         // contract of not quiescing inside `f`).
@@ -99,9 +102,8 @@ impl<T: Send + Sync + 'static, R: Reclaim> RcuPtr<T, R> {
         // SAFETY: single writer (lock held); `old` is still published.
         let new = Box::into_raw(Box::new(f(unsafe { &*old })));
         self.ptr.store(new, Ordering::Release);
-        let addr = old as usize;
         let old = SendPtr(old);
-        let retired = Retired::with_hint(std::mem::size_of::<T>(), addr, move || {
+        let retired = Retired::with_bytes(std::mem::size_of::<T>(), move || {
             // SAFETY: unlinked above; the scheme runs this only once no
             // reader can still hold it.
             drop(unsafe { Box::from_raw(old.into_raw()) });

@@ -12,8 +12,8 @@
 //! * [`rcuarray_ebr`] / [`rcuarray_qsbr`] — the two reclamation schemes.
 //! * [`rcuarray_reclaim`] — the `Reclaim` trait every scheme implements,
 //!   and `RcuPtr`, the generic RCU cell decoupled from the array.
-//! * [`rcuarray_baselines`] — every comparator from the evaluation,
-//!   including the hazard-pointer scheme.
+//! * [`rcuarray_baselines`] — the paper's two non-RCU comparators,
+//!   `UnsafeArray` (ChapelArray) and `SyncArray`.
 //! * [`rcuarray_service`] — the request-serving front-end (adaptive
 //!   batching, admission control, SLO telemetry).
 //!
@@ -22,7 +22,6 @@
 
 pub use rcuarray;
 pub use rcuarray_baselines;
-pub use rcuarray_collections;
 pub use rcuarray_ebr;
 pub use rcuarray_obs;
 pub use rcuarray_qsbr;
@@ -36,8 +35,7 @@ pub mod prelude {
         Backpressure, Config, EbrArray, ElemRef, Element, LeakArray, PressureConfig, QsbrArray,
         RcuArray, ReclaimStats, Scheme, StallPolicy, DEFAULT_BLOCK_SIZE,
     };
-    pub use rcuarray_baselines::{HazardArray, HazardScheme, SyncArray, UnsafeArray};
-    pub use rcuarray_collections::{DistTable, DistVector};
+    pub use rcuarray_baselines::{SyncArray, UnsafeArray};
     pub use rcuarray_ebr::{EpochGuard, EpochZone};
     pub use rcuarray_qsbr::QsbrDomain;
     pub use rcuarray_reclaim::{RcuPtr, Reclaim};

@@ -1,5 +1,5 @@
-//! Every array variant in the workspace — RCUArray under EBR, QSBR and
-//! hazard pointers, plus the two standalone comparators — must compute
+//! Every array variant in the workspace — RCUArray under EBR and QSBR,
+//! plus the two standalone comparators — must compute
 //! identical results for identical deterministic workloads. Performance
 //! differs; semantics must not.
 
@@ -21,7 +21,6 @@ fn variants(cluster: &Arc<Cluster>) -> Vec<Variant> {
     let qsbr = Arc::new(QsbrArray::<u64>::with_config(cluster, cfg));
     let unsafe_a = Arc::new(UnsafeArray::<u64>::new(cluster));
     let sync_a = Arc::new(SyncArray::<u64>::new(cluster));
-    let hz = Arc::new(HazardArray::<u64>::with_config(cluster, cfg));
 
     vec![
         Variant {
@@ -106,27 +105,6 @@ fn variants(cluster: &Arc<Cluster>) -> Vec<Variant> {
             },
             capacity: {
                 let a = sync_a;
-                Box::new(move || a.capacity())
-            },
-        },
-        Variant {
-            name: "HazardArray",
-            read: {
-                let a = Arc::clone(&hz);
-                Box::new(move |i| a.read(i))
-            },
-            write: {
-                let a = Arc::clone(&hz);
-                Box::new(move |i, v| a.write(i, v))
-            },
-            resize: {
-                let a = Arc::clone(&hz);
-                Box::new(move |n| {
-                    a.resize(n);
-                })
-            },
-            capacity: {
-                let a = hz;
                 Box::new(move || a.capacity())
             },
         },

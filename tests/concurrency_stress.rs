@@ -87,11 +87,6 @@ fn qsbr_array_survives_full_stress() {
 }
 
 #[test]
-fn hazard_array_survives_full_stress() {
-    stress(|c| HazardArray::<u64>::with_config(c, cfg()));
-}
-
-#[test]
 fn updates_through_stale_refs_race_resizes_without_loss() {
     // Lemma 6 under fire: take references, resize, write through them
     // concurrently; every write must land.

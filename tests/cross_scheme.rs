@@ -1,5 +1,5 @@
-//! Cross-crate integration: the EBR, QSBR and hazard-pointer
-//! configurations of RCUArray must be observably equivalent — same
+//! Cross-crate integration: the EBR and QSBR configurations of RCUArray
+//! must be observably equivalent — same
 //! results for the same operation sequence — differing only in *how* old
 //! snapshots are reclaimed.
 
@@ -51,13 +51,6 @@ fn ebr_and_qsbr_arrays_agree_with_each_other_and_a_vec_model() {
         |n| qsbr.resize(n),
     );
     assert_eq!(log_e, log_q, "schemes must be observably identical");
-    let hazard: HazardArray<u64> = HazardArray::with_config(&c, cfg());
-    let log_h = drive(
-        |i| hazard.read(i),
-        |i, v| hazard.write(i, v),
-        |n| hazard.resize(n),
-    );
-    assert_eq!(log_e, log_h, "hazard must match the epoch schemes");
 
     // Model: a plain Vec with the same rounding-up growth rule.
     let model = std::cell::RefCell::new(vec![0u64; 0]);
@@ -76,7 +69,6 @@ fn ebr_and_qsbr_arrays_agree_with_each_other_and_a_vec_model() {
 
     assert_eq!(ebr.to_vec(), qsbr.to_vec());
     assert_eq!(ebr.to_vec(), *model.borrow());
-    assert_eq!(ebr.to_vec(), hazard.to_vec());
     qsbr.checkpoint();
 }
 
@@ -88,16 +80,12 @@ fn generic_code_runs_under_either_scheme() {
     let c = cluster();
     let e: EbrArray<u64> = EbrArray::with_config(&c, cfg());
     let q: QsbrArray<u64> = QsbrArray::with_config(&c, cfg());
-    let h: HazardArray<u64> = HazardArray::with_config(&c, cfg());
     e.resize(32);
     q.resize(32);
-    h.resize(32);
     e.fill(2);
     q.fill(2);
-    h.fill(2);
     assert_eq!(sum_all(&e), 64);
     assert_eq!(sum_all(&q), 64);
-    assert_eq!(sum_all(&h), 64);
 }
 
 #[test]
@@ -112,7 +100,6 @@ fn elem_refs_survive_resizes_under_both_schemes() {
     let c = cluster();
     check("ebr", &EbrArray::<u64>::with_config(&c, cfg()));
     check("qsbr", &QsbrArray::<u64>::with_config(&c, cfg()));
-    check("hazard", &HazardArray::<u64>::with_config(&c, cfg()));
 }
 
 #[test]

@@ -290,47 +290,56 @@ fn concurrent_chaos_loses_no_updates() {
 }
 
 #[test]
-fn dist_vector_push_survives_faulty_growth() {
+fn growth_survives_put_faults_and_lock_aborts() {
+    // Append-style growth, one block whenever the array is full, while
+    // puts fault at random and the first two lock attempts abort: every
+    // `resize` retries to success and no appended value is lost.
     let plan =
         FaultPlan::new(seed())
             .fail_puts(0.1)
             .trigger("resize.lock", 0, 2, FaultAction::Error);
     let c = faulty_cluster(2, plan);
-    let v: DistVector<u64> = DistVector::with_config(&c, cfg());
-    for i in 0..40u64 {
-        assert_eq!(v.try_push(i * 3).unwrap(), i as usize);
+    let a: QsbrArray<u64> = QsbrArray::with_config(&c, cfg());
+    for i in 0..40 {
+        if i == a.capacity() {
+            a.resize(8);
+        }
+        a.write(i, i as u64 * 3);
     }
-    for i in 0..40u64 {
-        assert_eq!(v.get(i as usize), i * 3);
+    assert_eq!(a.capacity(), 40);
+    for i in 0..40 {
+        assert_eq!(a.read(i), i as u64 * 3, "value lost across faulty growth");
     }
-    assert!(v.backing().stats().aborted_resizes >= 1);
-    v.checkpoint();
+    assert!(a.stats().aborted_resizes >= 1);
+    a.checkpoint();
 }
 
 #[test]
-fn dist_table_grow_aborts_cleanly_when_allocation_faults() {
+fn try_resize_aborts_cleanly_when_allocation_faults() {
     let c = faulty_cluster(2, FaultPlan::new(seed()));
-    let mut t: DistTable = DistTable::with_config(&c, 16, cfg());
-    for k in 1..=10u64 {
-        t.insert(k, k * 5).unwrap();
+    let a: QsbrArray<u64> = QsbrArray::with_config(&c, cfg());
+    a.resize(16); // block 0 on L0, block 1 on L1
+    for i in 0..16 {
+        a.write(i, i as u64 * 5);
     }
-    // Down a locale: growth (which must allocate there) fails fast and
-    // leaves the original table untouched.
+    // Down a locale: a resize whose new blocks land on it fails fast and
+    // leaves the array untouched.
     c.fault().set_down(LocaleId::new(1), true);
-    let before = t.capacity();
-    assert!(t.try_grow().is_err(), "growth onto a down locale must fail");
-    assert_eq!(t.capacity(), before, "failed grow must not install");
-    for k in 1..=10u64 {
-        assert_eq!(t.get(k), Some(k * 5), "failed grow corrupted the table");
+    assert!(
+        a.try_resize(16).is_err(),
+        "growth onto a down locale must fail"
+    );
+    assert_eq!(a.capacity(), 16, "failed resize must not install");
+    for i in 0..16 {
+        assert_eq!(a.read(i), i as u64 * 5, "failed resize corrupted a value");
     }
-    // Revived, the same grow succeeds.
+    // Revived, the same resize succeeds.
     c.fault().set_down(LocaleId::new(1), false);
-    t.try_grow().unwrap();
-    assert_eq!(t.capacity(), before * 2);
-    for k in 1..=10u64 {
-        assert_eq!(t.get(k), Some(k * 5));
+    assert_eq!(a.try_resize(16).unwrap(), 32);
+    for i in 0..16 {
+        assert_eq!(a.read(i), i as u64 * 5);
     }
-    t.checkpoint();
+    a.checkpoint();
 }
 
 #[test]

@@ -58,7 +58,7 @@ fn leak_guard_panic_is_harmless() {
 /// Guarded schemes surface the unwind in their stats: the guard's `Drop`
 /// notices `std::thread::panicking()` and bumps the panicked-guard
 /// counter. The scheme keeps working: read again, resize, and nothing
-/// retired stays pending behind a stale pin or hazard.
+/// retired stays pending behind a stale pin.
 fn counts_panicked_guards<S: Scheme>() {
     let c = Cluster::new(Topology::new(1, 1));
     let a: RcuArray<u64, S> = RcuArray::with_config(&c, cfg());
@@ -82,20 +82,9 @@ fn ebr_counts_panicked_guards() {
     counts_panicked_guards::<rcuarray::EbrScheme>();
 }
 
-#[test]
-fn hazard_counts_panicked_guards() {
-    counts_panicked_guards::<HazardScheme>();
-}
-
-#[test]
-fn hazard_guard_panic_releases_slot() {
-    panicking_pinned_reader_recovers::<HazardScheme>();
-}
-
-/// The out-of-bounds panic fires while the reader's guard is live (under
-/// hazard pointers: while its slot publishes the snapshot). A resize on
-/// *another* thread must still finish — a guard leaked by the unwind
-/// would keep that thread's drain or slot scan waiting forever.
+/// The out-of-bounds panic fires while the reader's guard is live. A
+/// resize on *another* thread must still finish — a guard leaked by the
+/// unwind would keep that thread's drain waiting forever.
 fn oob_panic_does_not_wedge_resizes<S: Scheme>() {
     let c = Cluster::new(Topology::new(1, 1));
     let a: Arc<RcuArray<u64, S>> = Arc::new(RcuArray::with_config(&c, cfg()));
@@ -124,11 +113,6 @@ fn ebr_oob_panic_does_not_wedge_resizes() {
 #[test]
 fn qsbr_oob_panic_does_not_wedge_resizes() {
     oob_panic_does_not_wedge_resizes::<rcuarray::QsbrScheme>();
-}
-
-#[test]
-fn hazard_oob_panic_does_not_wedge_resizes() {
-    oob_panic_does_not_wedge_resizes::<HazardScheme>();
 }
 
 /// A panicking reader must not poison reclamation for *other* threads:

@@ -239,34 +239,3 @@ fn leak_scheme_bounded_pressure_acts_as_a_retirement_budget() {
         "no forced drain recorded past the watermark"
     );
 }
-
-/// A `DistVector` over a byte-capped leak array surfaces the exhausted
-/// budget as `Err(Backpressure)` from `try_push` instead of panicking —
-/// the collections write path consumes the same contract as `resize`.
-#[test]
-fn dist_vector_try_push_surfaces_backpressure() {
-    let c = cluster(2);
-    let cfg = Config {
-        retry: RetryPolicy::new(2, Duration::from_millis(200)),
-        ..bounded_cfg(1024, StallPolicy::disabled())
-    };
-    let v: DistVector<u64, rcuarray::LeakScheme> = DistVector::with_config(&c, cfg);
-    let mut refused = None;
-    for i in 0..4000 {
-        match v.try_push(i) {
-            Ok(_) => {}
-            Err(e) => {
-                refused = Some(e);
-                break;
-            }
-        }
-    }
-    let err = refused.expect("try_push never hit the retirement budget");
-    assert!(
-        matches!(err, CommError::Backpressure { .. }),
-        "wrong error: {err}"
-    );
-    // Everything appended before the refusal is intact.
-    assert!(!v.is_empty());
-    assert_eq!(v.get(0), 0);
-}
