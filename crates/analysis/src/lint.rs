@@ -1,6 +1,6 @@
 //! Source-level concurrency lint.
 //!
-//! Walks Rust sources and enforces ten repo rules:
+//! Walks Rust sources and enforces nine repo rules:
 //!
 //! 1. **`unsafe` sites must be justified**: every `unsafe` block, `unsafe
 //!    fn`, or `unsafe impl` must have a `// SAFETY:` comment (or a
@@ -63,15 +63,6 @@
 //!    through `CommLayer::send` (or its `Cluster::send_to` /
 //!    `copy_between` wrappers), so per-link fault rules apply uniformly
 //!    (DESIGN.md §14).
-//! 10. **No raw block placement outside the placement map**: the
-//!     round-robin home-selection vocabulary (`RoundRobinCounter`,
-//!     `next_round_robin(`) may appear in `crates/rcuarray/` only inside
-//!     `src/placement.rs`. Every locale-indexed placement decision —
-//!     which locale homes a block, where a replica or repair copy lands —
-//!     must go through `PlacementMap`/`BlockGroup`, so replication,
-//!     failover, and membership-aware planning stay in one auditable
-//!     place (DESIGN.md §15). Ad-hoc cursors bypass the membership view
-//!     and break the bit-stable-at-RF-1 guarantee.
 //!
 //! Detection runs on *code only*: comments, strings (incl. raw strings)
 //! and char literals are stripped by a small state machine first, so
@@ -93,9 +84,6 @@ pub const RELAXED_ALLOWLIST: &[&str] = &[
     "crates/qsbr/src/defer_list.rs",
     "crates/rcuarray/src/array.rs",
     "crates/rcuarray/src/stats.rs",
-    // Replica-lag ledger: monotonic byte tallies drained at checkpoints;
-    // never used for synchronization (the groups Mutex orders stores).
-    "crates/rcuarray/src/placement.rs",
     // Per-element cells: Relaxed load/store is the paper's data-plane
     // contract (element visibility is ordered by snapshot publication).
     "crates/rcuarray/src/element.rs",
@@ -153,9 +141,6 @@ pub const COUNTER_ALLOWLIST: &[&str] = &[
     // ArrayStats-only `fallback_reads` and `degraded_writes`, and a
     // test-module visit counter.
     "crates/rcuarray/src/array.rs",
-    // Per-locale replica-lag ledger backing ArrayStats::replica_lag_bytes;
-    // the obs gauge is set from the total in the same functions.
-    "crates/rcuarray/src/placement.rs",
     // The per-cluster (from, to) link table, the one place a comm event
     // is counted, and per-locale fault accounting: locality and per-link
     // assertions need the per-cluster split the global registry lacks.
@@ -178,14 +163,6 @@ pub const BOUNDED_QUEUE_CRATES: &[&str] = &["crates/service/"];
 /// (rule 9). Only the runtime itself may speak them; every other crate
 /// sends typed `CommMessage`s through `CommLayer::send`.
 pub const RAW_COMM_ALLOWLIST: &[&str] = &["crates/runtime/"];
-
-/// Crates whose locale-indexed block placement must go through the
-/// placement map (rule 10).
-pub const PLACEMENT_CRATES: &[&str] = &["crates/rcuarray/"];
-
-/// The one file inside [`PLACEMENT_CRATES`] allowed to speak the
-/// round-robin home-selection vocabulary (rule 10).
-pub const PLACEMENT_ALLOWLIST: &[&str] = &["crates/rcuarray/src/placement.rs"];
 
 /// Files allowed to name an `IS_QSBR`-style scheme flag. Only the
 /// reclamation core may ever need one (e.g. internally to a future
@@ -224,7 +201,6 @@ pub enum Rule {
     ForgetGuard,
     UnboundedQueue,
     RawComm,
-    RawPlacement,
 }
 
 impl std::fmt::Display for Violation {
@@ -239,7 +215,6 @@ impl std::fmt::Display for Violation {
             Rule::ForgetGuard => "forget-guard",
             Rule::UnboundedQueue => "unbounded-queue",
             Rule::RawComm => "raw-comm",
-            Rule::RawPlacement => "raw-placement",
         };
         write!(
             f,
@@ -738,21 +713,6 @@ pub fn lint_source(path: &Path, src: &str) -> Vec<Violation> {
                     .into(),
             });
         }
-        if (has_word(code, "RoundRobinCounter") || has_word(code, "next_round_robin"))
-            && allowlisted(path, PLACEMENT_CRATES)
-            && !allowlisted(path, PLACEMENT_ALLOWLIST)
-        {
-            out.push(Violation {
-                file: path.to_path_buf(),
-                line: line_no,
-                rule: Rule::RawPlacement,
-                msg: "raw round-robin placement outside the placement map; \
-                      home selection in crates/rcuarray must go through \
-                      PlacementMap/BlockGroup so replication and failover \
-                      see every decision (DESIGN.md §15)"
-                    .into(),
-            });
-        }
     }
     if allowlisted(path, INSTRUMENTED_CRATES) {
         out.extend(guard_across_blocking(path, &code_lines));
@@ -1126,63 +1086,17 @@ mod tests {
         assert!(!v.iter().any(|v| v.rule == Rule::RawComm));
     }
 
-    #[test]
-    fn raw_placement_flagged_in_rcuarray_outside_placement_map() {
-        for src in [
-            "let home = cursor.take();\nlet next = home.next_round_robin(n);\n",
-            "let cursor = RoundRobinCounter::new(n);\n",
-        ] {
-            let v = lint_source(Path::new("crates/rcuarray/src/array.rs"), src);
-            assert_eq!(
-                v.iter().filter(|v| v.rule == Rule::RawPlacement).count(),
-                1,
-                "expected exactly one raw-placement hit for {src:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn raw_placement_ok_inside_placement_map() {
-        let v = lint_source(
-            Path::new("crates/rcuarray/src/placement.rs"),
-            "let cursor = RoundRobinCounter::new(n);\nlet next = home.next_round_robin(n);\n",
-        );
-        assert!(!v.iter().any(|v| v.rule == Rule::RawPlacement));
-    }
-
-    #[test]
-    fn raw_placement_not_enforced_outside_rcuarray() {
-        // The runtime defines the counter — rule 10 scopes to
-        // crates/rcuarray only.
-        let v = lint_source(
-            Path::new("crates/runtime/src/dist.rs"),
-            "pub struct RoundRobinCounter { next: AtomicU32 }\n",
-        );
-        assert!(!v.iter().any(|v| v.rule == Rule::RawPlacement));
-    }
-
-    #[test]
-    fn raw_placement_word_boundary_respected() {
-        let v = lint_source(
-            Path::new("crates/rcuarray/src/array.rs"),
-            "let my_next_round_robin_ish = 1;\ncall(XRoundRobinCounterY);\n",
-        );
-        assert!(!v.iter().any(|v| v.rule == Rule::RawPlacement));
-    }
-
     /// Every allowlist entry names a file or directory that exists: a
     /// stale entry silently exempts whatever later lands at that path.
     #[test]
     fn allowlist_paths_exist() {
         let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-        let lists: [(&str, &[&str]); 9] = [
+        let lists: [(&str, &[&str]); 7] = [
             ("RELAXED_ALLOWLIST", RELAXED_ALLOWLIST),
             ("INSTRUMENTED_CRATES", INSTRUMENTED_CRATES),
             ("COUNTER_ALLOWLIST", COUNTER_ALLOWLIST),
             ("BOUNDED_QUEUE_CRATES", BOUNDED_QUEUE_CRATES),
             ("RAW_COMM_ALLOWLIST", RAW_COMM_ALLOWLIST),
-            ("PLACEMENT_CRATES", PLACEMENT_CRATES),
-            ("PLACEMENT_ALLOWLIST", PLACEMENT_ALLOWLIST),
             ("SCHEME_FLAG_ALLOWLIST", SCHEME_FLAG_ALLOWLIST),
             ("SYNC_ALLOWLIST", SYNC_ALLOWLIST),
         ];

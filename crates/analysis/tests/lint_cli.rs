@@ -100,26 +100,6 @@ fn raw_comm_fixture_fails() {
 }
 
 #[test]
-fn raw_placement_fixture_fails() {
-    // The fixture sits under a crates/rcuarray/ subpath (and outside
-    // src/placement.rs) so rule 10's path scoping applies to it when
-    // linted directly.
-    let fixture = crate_dir().join("tests/fixtures/crates/rcuarray/raw_placement.rs");
-    assert!(fixture.exists(), "fixture missing at {}", fixture.display());
-    let out = lint_bin().arg(&fixture).output().expect("run lint");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        !out.status.success(),
-        "lint must fail on the fixture; stderr:\n{stderr}"
-    );
-    assert_eq!(out.status.code(), Some(1), "violations exit with code 1");
-    assert!(
-        stderr.contains("raw-placement"),
-        "diagnostic should name the raw-placement rule: {stderr}"
-    );
-}
-
-#[test]
 fn fixtures_are_skipped_by_the_directory_walk() {
     // Pointing the binary at the tests/ directory (which contains the
     // fixtures dir) must stay clean: fixtures are excluded from walks.

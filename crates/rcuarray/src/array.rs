@@ -25,7 +25,6 @@ use crate::elem_ref::ElemRef;
 use crate::element::Element;
 use crate::handle::LocaleState;
 use crate::iter::Iter;
-use crate::placement::PlacementMap;
 use crate::scheme::{EbrScheme, LeakScheme, QsbrScheme, Scheme};
 use crate::snapshot::{reclaim_box, Snapshot};
 use crate::stats::ArrayStats;
@@ -34,7 +33,7 @@ use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram, ScopedCounter};
 use rcuarray_qsbr::QsbrDomain;
 use rcuarray_reclaim::{Reclaim, ReclaimStats, Retired};
 use rcuarray_runtime::{
-    Cluster, CommError, GlobalLock, LocaleId, MembershipView, OpKind, PrivHandle, RetryPolicy,
+    Cluster, CommError, GlobalLock, LocaleId, OpKind, PrivHandle, RetryPolicy, RoundRobinCounter,
 };
 use std::ptr::NonNull;
 use std::sync::{Arc, Mutex};
@@ -60,23 +59,6 @@ static OBS_CAPACITY: LazyGauge = LazyGauge::new(
     "rcuarray_capacity",
     "current element capacity (last array to finish a resize wins)",
 );
-static OBS_FAILOVER_READS: LazyCounter = LazyCounter::new(
-    "rcuarray_failover_reads_total",
-    "reads served from a replica because the primary's home was not Up",
-);
-static OBS_FAILOVER_NS: LazyHistogram = LazyHistogram::new(
-    "rcuarray_failover_latency_ns",
-    "wall-clock latency of replica-failover reads in nanoseconds",
-);
-static OBS_REREPLICATION_BYTES: LazyCounter = LazyCounter::new(
-    "rcuarray_rereplication_bytes_total",
-    "bytes copied restoring replication after locale loss (repair and rejoin catch-up)",
-);
-static OBS_REPLICA_LAG: LazyGauge = LazyGauge::new(
-    "rcuarray_replica_lag_bytes",
-    "deferred replica-write charge not yet drained (last array to update wins)",
-);
-
 /// Approximate heap footprint of a snapshot: the struct plus its block
 /// vector. Used as the byte hint for QSBR defer-backlog accounting; the
 /// blocks themselves are registry-owned and never reclaimed here.
@@ -152,7 +134,7 @@ impl Charger {
             .run(cluster.comm(), || cluster.try_get_from(home, bytes))
             .is_err()
         {
-            self.count_fallback_read();
+            self.fallback_reads.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -174,16 +156,8 @@ impl Charger {
             .run(cluster.comm(), || cluster.try_put_to(home, bytes))
             .is_err()
         {
-            self.count_degraded_write();
+            self.degraded_writes.fetch_add(1, Ordering::Relaxed);
         }
-    }
-
-    fn count_fallback_read(&self) {
-        self.fallback_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_degraded_write(&self) {
-        self.degraded_writes.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -192,9 +166,10 @@ struct Shared<T: Element, S: Scheme> {
     cluster: Arc<Cluster>,
     config: Config,
     write_lock: GlobalLock,
-    /// Block homes — primary and replicas — all come from here; the
-    /// round-robin cursor lives inside (lint rule 10 `raw-placement`).
-    placement: PlacementMap<T>,
+    /// `NextLocaleId` (Listing 1): the locale the next new block is
+    /// homed on. Advanced only when a resize commits (Algorithm 3
+    /// line 28).
+    next_locale: RoundRobinCounter,
     blocks: BlockRegistry<T>,
     scheme: S,
     capacity: AtomicUsize,
@@ -204,11 +179,6 @@ struct Shared<T: Element, S: Scheme> {
     /// Element GET/PUT charges, with their retry policy and the
     /// fallback-read / degraded-write counters.
     charge: Charger,
-    /// Reads served from a replica because the primary's home was not
-    /// `Up` (DESIGN.md §15; zero at `replication_factor = 1`).
-    failover_reads: ScopedCounter,
-    /// Bytes copied by `repair_replicas` / `rejoin_catch_up`.
-    rereplicated_bytes: ScopedCounter,
 }
 
 /// A parallel-safe distributed resizable array (see [module docs](self)).
@@ -251,16 +221,13 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 cluster: Arc::clone(cluster),
                 config,
                 write_lock: GlobalLock::new(cluster, LocaleId::ZERO),
-                // Also checks `replication_factor <= num_locales`.
-                placement: PlacementMap::new(config.replication_factor, cluster.num_locales()),
+                next_locale: RoundRobinCounter::new(cluster.num_locales()),
                 blocks: BlockRegistry::new(),
                 scheme,
                 capacity: AtomicUsize::new(0),
                 resizes: OBS_RESIZES.scoped(),
                 aborted_resizes: OBS_RESIZE_ABORTS.scoped(),
                 charge: Charger::new(cluster, config.retry),
-                failover_reads: OBS_FAILOVER_READS.scoped(),
-                rereplicated_bytes: OBS_REREPLICATION_BYTES.scoped(),
             }),
             state,
         }
@@ -291,11 +258,10 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
 
     /// Current capacity in elements. Capacity only grows, as the paper's
     /// RCUArray only expands (footnote 12): [`try_resize`](Self::try_resize)
-    /// raises it after every in-view locale has published the larger
-    /// snapshot, and a rolled-back resize never raises it. So an index
-    /// below a `capacity()` this task has read stays inside its locale's
-    /// snapshot. The one exception is a locale evicted by membership: it
-    /// keeps its old prefix until [`rejoin_catch_up`](Self::rejoin_catch_up).
+    /// raises it after every locale has published the larger snapshot,
+    /// and a rolled-back resize never raises it. So an index below a
+    /// `capacity()` this task has read stays inside its locale's
+    /// snapshot.
     #[inline]
     pub fn capacity(&self) -> usize {
         self.shared.capacity.load(Ordering::Acquire)
@@ -326,159 +292,24 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         self.shared.scheme.domain()
     }
 
-    /// Read one element of `block`, failing over to a replica when the
-    /// primary's home has been evicted from the membership view
-    /// (DESIGN.md §15). At `replication_factor = 1` this is byte-for-byte
-    /// the paper's read: one charge, one load.
+    /// Read one element of `block`: the paper's read, one charge and one
+    /// load.
     #[inline]
-    fn load_at(&self, block_idx: usize, block: BlockRef<T>, off: usize) -> T {
+    fn load_at(&self, block: BlockRef<T>, off: usize) -> T {
         // SAFETY: registry-owned block.
         let b = unsafe { block.get() };
-        let home = b.home();
-        if self.shared.placement.is_replicated() && !self.shared.cluster.membership().is_up(home) {
-            return self.failover_load(block_idx, off, b);
-        }
-        self.shared.charge.get(home, T::byte_size());
+        self.shared.charge.get(b.home(), T::byte_size());
         b.load(off)
     }
 
-    /// The failover read path: serve from the first live replica, charge
-    /// the GET to *its* home, and record the detour. With every copy's
-    /// home out of the view (loss beyond the replication factor) the read
-    /// degrades to the locale-local primary block exactly as `rf = 1`
-    /// degrades — answers stay available, they are just counted as
-    /// fallback reads instead of communication-backed ones.
-    #[cold]
-    fn failover_load(&self, block_idx: usize, off: usize, primary: &Block<T>) -> T {
-        let t0 = rcuarray_obs::enabled().then(std::time::Instant::now);
-        let membership = self.shared.cluster.membership();
-        let Some((loc, replica)) = self.shared.placement.failover_target(block_idx, membership)
-        else {
-            self.shared.charge.count_fallback_read();
-            return primary.load(off);
-        };
-        // SAFETY: replica blocks are registry-owned like every block.
-        let v = unsafe { replica.get() }.load(off);
-        self.shared.charge.get(loc, T::byte_size());
-        self.shared.failover_reads.add(1);
-        if let Some(t0) = t0 {
-            OBS_FAILOVER_NS.record(t0.elapsed().as_nanos() as u64);
-        }
-        v
-    }
-
-    /// The chunked twin of [`failover_load`](Self::failover_load) for the
-    /// bulk read path: one failover decision, one charge, `take` loads.
-    #[cold]
-    fn failover_load_chunk(
-        &self,
-        block_idx: usize,
-        off: usize,
-        take: usize,
-        primary: &Block<T>,
-        out: &mut Vec<T>,
-    ) {
-        let t0 = rcuarray_obs::enabled().then(std::time::Instant::now);
-        let membership = self.shared.cluster.membership();
-        match self.shared.placement.failover_target(block_idx, membership) {
-            Some((loc, replica)) => {
-                // SAFETY: registry-owned replica block.
-                let b = unsafe { replica.get() };
-                self.shared.charge.get(loc, take * T::byte_size());
-                for k in 0..take {
-                    out.push(b.load(off + k));
-                }
-                self.shared.failover_reads.add(1);
-                if let Some(t0) = t0 {
-                    OBS_FAILOVER_NS.record(t0.elapsed().as_nanos() as u64);
-                }
-            }
-            None => {
-                self.shared.charge.count_fallback_read();
-                for k in 0..take {
-                    out.push(primary.load(off + k));
-                }
-            }
-        }
-    }
-
-    /// Store one element, fanning the value out to replicas when
-    /// replicated. At `replication_factor = 1` this is the paper's write:
-    /// one charge, one store.
+    /// Store one element into `block`: the paper's write, one charge and
+    /// one store.
     #[inline]
-    fn store_at(&self, block_idx: usize, block: BlockRef<T>, off: usize, value: T) {
+    fn store_at(&self, block: BlockRef<T>, off: usize, value: T) {
         // SAFETY: registry-owned block.
         let b = unsafe { block.get() };
-        if !self.shared.placement.is_replicated() {
-            self.shared.charge.put(b.home(), T::byte_size());
-            b.store(off, value);
-            return;
-        }
-        self.replicated_store_chunk(block_idx, b, off, std::slice::from_ref(&value));
-    }
-
-    /// The replicated write protocol (DESIGN.md §15): one *synchronous*
-    /// acknowledged PUT — to the primary's home, or to the first live
-    /// replica when the failure detector evicted the primary — then
-    /// stores into every in-view copy, with the replicas' communication
-    /// charge deferred into the placement lag ledger (drained at
-    /// [`checkpoint`](Self::checkpoint) or when the lag passes the
-    /// pressure watermark). Copies homed on out-of-view locales are
-    /// *skipped* — they model lost memory and go stale until
-    /// [`repair_replicas`](Self::repair_replicas) or
-    /// [`rejoin_catch_up`](Self::rejoin_catch_up) refreshes them.
-    fn replicated_store_chunk(&self, block_idx: usize, primary: &Block<T>, off: usize, vals: &[T]) {
-        let shared = &self.shared;
-        let membership = shared.cluster.membership();
-        let home = primary.home();
-        let bytes = vals.len() * T::byte_size();
-        let ack_home = if membership.is_up(home) {
-            home
-        } else {
-            shared
-                .placement
-                .failover_target(block_idx, membership)
-                .map(|(l, _)| l)
-                .unwrap_or(home)
-        };
-        self.shared.charge.put(ack_home, bytes);
-        for (k, &v) in vals.iter().enumerate() {
-            primary.store(off + k, v);
-        }
-        let view = membership.view();
-        shared.placement.with_groups(|groups| {
-            let Some(group) = groups.get(block_idx) else {
-                return;
-            };
-            for &(loc, replica) in group.replicas() {
-                if !view.in_view(loc) {
-                    continue;
-                }
-                // SAFETY: registry-owned replica block.
-                let rb = unsafe { replica.get() };
-                for (k, &v) in vals.iter().enumerate() {
-                    rb.store(off + k, v);
-                }
-                if loc != ack_home {
-                    shared.placement.add_lag(loc, bytes as u64);
-                }
-            }
-        });
-        OBS_REPLICA_LAG.set(shared.placement.lag_bytes() as i64);
-        let pressure = &shared.config.pressure;
-        if pressure.is_bounded() && shared.placement.lag_bytes() > pressure.high_watermark {
-            self.drain_replica_lag();
-        }
-    }
-
-    /// Drain the deferred replica-write charges: one bulk PUT per replica
-    /// locale with outstanding lag. Failures count as degraded writes
-    /// like any other exhausted charge — the stores already landed.
-    fn drain_replica_lag(&self) {
-        for (loc, bytes) in self.shared.placement.take_lag() {
-            self.shared.charge.put(loc, bytes as usize);
-        }
-        OBS_REPLICA_LAG.set(self.shared.placement.lag_bytes() as i64);
+        self.shared.charge.put(b.home(), T::byte_size());
+        b.store(off, value);
     }
 
     /// Retire a just-unlinked snapshot through the scheme's [`Reclaim`]
@@ -591,10 +422,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// Panics when `idx` is out of bounds of this locale's current view.
     #[inline]
     pub fn read(&self, idx: usize) -> T {
-        let bs = self.shared.config.block_size;
         self.with_snapshot(|snap| {
             let (block, off) = self.locate(snap, idx);
-            self.load_at(idx / bs, block, off)
+            self.load_at(block, off)
         })
     }
 
@@ -615,10 +445,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// Panics when `idx` is out of bounds of this locale's current view.
     #[inline]
     pub fn write(&self, idx: usize, value: T) {
-        let bs = self.shared.config.block_size;
         self.with_snapshot(|snap| {
             let (block, off) = self.locate(snap, idx);
-            self.store_at(idx / bs, block, off, value);
+            self.store_at(block, off, value);
         })
     }
 
@@ -636,20 +465,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             let home = unsafe { block.get() }.home();
             (block, off, home)
         });
-        let mut r = ElemRef::new(self.cell_of(block, off), home, &self.shared.charge);
-        if self.shared.placement.is_replicated() {
-            // Capture the replica cells so assignments through the
-            // reference reach every copy (Lemma 6 on every replica).
-            let block_idx = idx / self.shared.config.block_size;
-            self.shared.placement.with_groups(|groups| {
-                if let Some(group) = groups.get(block_idx) {
-                    for &(loc, replica) in group.replicas() {
-                        r.push_replica(loc, self.cell_of(replica, off));
-                    }
-                }
-            });
-        }
-        r
+        ElemRef::new(self.cell_of(block, off), home, &self.shared.charge)
     }
 
     /// `Resize` (Algorithm 3 lines 9–29): expand the array by at least
@@ -756,26 +572,15 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             armed: true,
         };
 
-        // Lines 11–16, generalized through the placement map: plan the
-        // primary (and, under replication, replica) homes for every new
-        // block against the current membership view, then allocate each
-        // copy *on* its locale. With every locale in view and
-        // `replication_factor = 1` the plan is exactly the paper's
-        // round-robin.
-        let view = self.shared.cluster.membership().view();
-        let plan = self.shared.placement.plan_homes(nblocks, &view)?;
+        // Lines 11–16: allocate each new block *on* the locale the
+        // round-robin cursor names, advancing a local copy of it; the
+        // shared cursor is stored back only once the resize commits.
+        let mut loc_id = self.shared.next_locale.peek();
         let mut new_blocks = Vec::with_capacity(nblocks);
-        for homes in &plan.homes {
+        for _ in 0..nblocks {
             fault.hit("resize.alloc")?;
-            let mut entries = Vec::with_capacity(homes.len());
-            for &home in homes {
-                entries.push((home, self.alloc_block_on(home)?));
-            }
-            // The snapshot references the primary; replica refs live only
-            // in the placement map. Rolled-back groups are truncated by
-            // the guard.
-            new_blocks.push(entries[0].1);
-            self.shared.placement.append_group(entries);
+            new_blocks.push(self.alloc_block_on(loc_id)?);
+            loc_id = loc_id.next_round_robin(num_locales);
         }
 
         // Lines 18–27: replicate the snapshot swap on every locale in
@@ -786,17 +591,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         let first_err: Mutex<Option<CommError>> = Mutex::new(None);
         let new_blocks = &new_blocks;
         let published = &rollback.published;
-        let view = &view;
         self.shared.cluster.coforall_locales(|l| {
-            if !view.in_view(l) {
-                // An evicted (Down/Rejoining) locale cannot take the
-                // publish and must not wedge the resize; its snapshot
-                // stays at the old prefix until `rejoin_catch_up`
-                // brings it back to currency. With every locale in view
-                // (the only state reachable without membership probes)
-                // this branch never fires.
-                return;
-            }
             let faulted = fault
                 .hit("resize.publish")
                 .and_then(|()| fault.check(l, l, OpKind::RemoteExec));
@@ -821,12 +616,13 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         rollback.armed = false;
 
         // Line 28: persist the round-robin cursor.
-        self.shared.placement.commit_cursor(&plan);
+        self.shared.next_locale.set(loc_id);
         self.shared.capacity.store(new_cap, Ordering::Release);
         self.shared.resizes.add(1);
         drop(guard); // line 29
-                     // Every in-view locale's clone recycled the old snapshot's prefix.
-        OBS_BLOCKS_RECYCLED.add((rollback.old_nblocks * view.num_members()) as u64);
+
+        // Every locale's clone recycled the old snapshot's prefix.
+        OBS_BLOCKS_RECYCLED.add((rollback.old_nblocks * num_locales) as u64);
         OBS_CAPACITY.set(new_cap as i64);
         if let Some(t0) = t0 {
             OBS_RESIZE_NS.record(t0.elapsed().as_nanos() as u64);
@@ -887,16 +683,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 let take = (bs - off).min(end - idx);
                 // SAFETY: registry-owned block.
                 let b = unsafe { block.get() };
-                let home = b.home();
-                if self.shared.placement.is_replicated()
-                    && !self.shared.cluster.membership().is_up(home)
-                {
-                    self.failover_load_chunk(idx / bs, off, take, b, &mut out);
-                } else {
-                    self.shared.charge.get(home, take * T::byte_size());
-                    for k in 0..take {
-                        out.push(b.load(off + k));
-                    }
+                self.shared.charge.get(b.home(), take * T::byte_size());
+                for k in 0..take {
+                    out.push(b.load(off + k));
                 }
                 idx += take;
             }
@@ -919,13 +708,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 let take = (bs - off).min(values.len() - src);
                 // SAFETY: registry-owned block.
                 let b = unsafe { block.get() };
-                if self.shared.placement.is_replicated() {
-                    self.replicated_store_chunk(idx / bs, b, off, &values[src..src + take]);
-                } else {
-                    self.shared.charge.put(b.home(), take * T::byte_size());
-                    for k in 0..take {
-                        b.store(off + k, values[src + k]);
-                    }
+                self.shared.charge.put(b.home(), take * T::byte_size());
+                for k in 0..take {
+                    b.store(off + k, values[src + k]);
                 }
                 idx += take;
                 src += take;
@@ -957,7 +742,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                 .iter()
                 .map(|&idx| {
                     let block = snap.try_block(idx / bs)?;
-                    Some(self.load_at(idx / bs, block, idx % bs))
+                    Some(self.load_at(block, idx % bs))
                 })
                 .collect()
         })
@@ -985,7 +770,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
                     let Some(block) = snap.try_block(idx / bs) else {
                         return false;
                     };
-                    self.store_at(idx / bs, block, idx % bs, value);
+                    self.store_at(block, idx % bs, value);
                     true
                 })
                 .collect()
@@ -995,14 +780,7 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// Announce a quiescent state for the calling thread (a QSBR
     /// checkpoint that frees every entry now safe; a no-op for schemes
     /// that never defer). Returns deferred reclamations run.
-    ///
-    /// Under replication the checkpoint also drains the replica-write
-    /// lag ledger — "bounded replica lag drained at QSBR checkpoints"
-    /// (DESIGN.md §15).
     pub fn checkpoint(&self) -> usize {
-        if self.shared.placement.is_replicated() {
-            self.drain_replica_lag();
-        }
         self.state.get().reclaim().quiesce()
     }
 
@@ -1063,176 +841,6 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         self.iter().collect()
     }
 
-    /// Restore full replication after the failure detector evicted
-    /// locales (DESIGN.md §15): every *replica* entry homed on an
-    /// out-of-view locale is replaced by a fresh block on a surviving
-    /// `Up` locale, copied from a live donor copy. The snapshot
-    /// (primary) entry of each group is pinned — Lemma 6 references
-    /// never dangle — so a dead primary is healed by keeping its
-    /// replicas whole and serving reads/acks from them until the locale
-    /// rejoins.
-    ///
-    /// Copying is paced by [`Config::pressure`]: past the high
-    /// watermark of bytes copied since the last quiesce, the caller
-    /// checkpoints before copying more, so recovery traffic cannot
-    /// outrun reclamation. A group every copy of which is out of view
-    /// (loss beyond the replication factor) is skipped — degraded, not
-    /// corrupted. Returns bytes copied; zero at `replication_factor =
-    /// 1` or on a fully healthy view. Idempotent: call it from a
-    /// monitoring loop after every membership epoch change.
-    pub fn repair_replicas(&self) -> usize {
-        if !self.shared.placement.is_replicated() {
-            return 0;
-        }
-        let view = self.shared.cluster.membership().view();
-        let pressure = self.shared.config.pressure;
-        let mut copied = 0usize;
-        let mut unpaced = 0u64;
-        for block_idx in 0..self.shared.placement.num_groups() {
-            // Pace *between* groups, never inside one: the group lock
-            // must not be held across a checkpoint.
-            if pressure.is_bounded() && unpaced > pressure.high_watermark {
-                self.checkpoint();
-                unpaced = 0;
-            }
-            let bytes = self.repair_group(block_idx, &view);
-            copied += bytes;
-            unpaced += bytes as u64;
-        }
-        if copied > 0 {
-            self.shared.rereplicated_bytes.add(copied as u64);
-        }
-        copied
-    }
-
-    /// Re-replicate one group's dead replica entries. Runs under the
-    /// group lock so a concurrent fanned-out write cannot land between
-    /// the donor copy and the entry swap (which would leave the fresh
-    /// replica one store stale).
-    fn repair_group(&self, block_idx: usize, view: &MembershipView) -> usize {
-        let shared = &self.shared;
-        let membership = shared.cluster.membership();
-        shared.placement.with_groups(|groups| {
-            let Some(group) = groups.get_mut(block_idx) else {
-                return 0;
-            };
-            let mut copied = 0usize;
-            for slot in 1..group.entries.len() {
-                let (dead_loc, _) = group.entries[slot];
-                if view.in_view(dead_loc) {
-                    continue;
-                }
-                // Donor: a copy whose home is still in the view, Up
-                // preferred over Suspect.
-                let donor = group
-                    .entries
-                    .iter()
-                    .find(|(l, _)| membership.is_up(*l))
-                    .or_else(|| group.entries.iter().find(|(l, _)| view.in_view(*l)))
-                    .copied();
-                let Some((donor_loc, donor_block)) = donor else {
-                    continue; // every copy lost: degraded, not corrupted
-                };
-                let Some(target) = group.repair_target(dead_loc, membership) else {
-                    continue; // no spare locale; stay under-replicated
-                };
-                let Ok(fresh) = self.alloc_block_on(target) else {
-                    continue; // faulted allocation; retry on the next call
-                };
-                // SAFETY: donor and fresh blocks are registry-owned.
-                let bytes = unsafe {
-                    let f = fresh.get();
-                    f.copy_from(donor_block.get());
-                    f.byte_size()
-                };
-                // The data movement already happened block-to-block; a
-                // faulted charge is a degraded write, like any other
-                // exhausted communication charge.
-                if shared
-                    .cluster
-                    .copy_between(donor_loc, target, bytes)
-                    .is_err()
-                {
-                    shared.charge.count_degraded_write();
-                }
-                group.entries[slot] = (target, fresh);
-                copied += bytes;
-            }
-            copied
-        })
-    }
-
-    /// Bring a healed locale back to currency before it re-enters
-    /// membership views (DESIGN.md §15): republish the newest snapshot
-    /// to it (it missed every resize while out), refresh each replica
-    /// copy homed on it from a live donor (it missed every fanned-out
-    /// write), then [`Membership::mark_caught_up`] so the next probe
-    /// round returns it to `Up`. Returns bytes copied.
-    ///
-    /// Call from the locale that observed the heal, after the failure
-    /// detector reports the rejoiner as `Rejoining`.
-    ///
-    /// [`Membership::mark_caught_up`]: rcuarray_runtime::Membership::mark_caught_up
-    pub fn rejoin_catch_up(&self, locale: LocaleId) -> usize {
-        let shared = &self.shared;
-        let guard = shared.write_lock.acquire();
-        let here = self.state.get();
-        // SAFETY: the write lock serializes publishers, so both
-        // snapshots are stable for the duration.
-        let cur = unsafe { here.snapshot_ref() };
-        let stale = unsafe { self.state.get_on(locale).snapshot_ref() };
-        if stale.num_blocks() != cur.num_blocks() {
-            self.republish_prefix(locale, cur, cur.num_blocks());
-        }
-        drop(guard);
-        let mut copied = 0usize;
-        if shared.placement.is_replicated() {
-            let view = shared.cluster.membership().view();
-            for block_idx in 0..shared.placement.num_groups() {
-                copied += shared.placement.with_groups(|groups| {
-                    let Some(group) = groups.get_mut(block_idx) else {
-                        return 0;
-                    };
-                    let mut c = 0usize;
-                    for slot in 1..group.entries.len() {
-                        let (l, replica) = group.entries[slot];
-                        if l != locale {
-                            continue;
-                        }
-                        let donor = group
-                            .entries
-                            .iter()
-                            .find(|(dl, _)| *dl != locale && view.in_view(*dl))
-                            .copied();
-                        let Some((donor_loc, donor_block)) = donor else {
-                            continue;
-                        };
-                        // SAFETY: registry-owned blocks.
-                        let bytes = unsafe {
-                            let r = replica.get();
-                            r.copy_from(donor_block.get());
-                            r.byte_size()
-                        };
-                        if shared
-                            .cluster
-                            .copy_between(donor_loc, locale, bytes)
-                            .is_err()
-                        {
-                            shared.charge.count_degraded_write();
-                        }
-                        c += bytes;
-                    }
-                    c
-                });
-            }
-            if copied > 0 {
-                shared.rereplicated_bytes.add(copied as u64);
-            }
-        }
-        shared.cluster.membership().mark_caught_up(locale);
-        copied
-    }
-
     /// Aggregate instrumentation across locales.
     ///
     /// Per-locale reclamation counters are folded through
@@ -1255,9 +863,6 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
             aborted_resizes: self.shared.aborted_resizes.get(),
             fallback_reads: self.shared.charge.fallback_reads.load(Ordering::Relaxed),
             degraded_writes: self.shared.charge.degraded_writes.load(Ordering::Relaxed),
-            failover_reads: self.shared.failover_reads.get(),
-            rereplicated_bytes: self.shared.rereplicated_bytes.get(),
-            replica_lag_bytes: self.shared.placement.lag_bytes(),
             reclaim,
             comm: self.shared.cluster.comm_stats(),
             fault: self.shared.cluster.comm().fault_totals(),
@@ -1286,9 +891,6 @@ impl<T: Element, S: Scheme> Drop for ResizeRollback<'_, T, S> {
         }
         let shared = &self.array.shared;
         shared.aborted_resizes.add(1);
-        // Drop the groups the failed attempt appended; their blocks stay
-        // registry-owned like every block of a rolled-back resize.
-        shared.placement.truncate(self.old_nblocks);
         for (l, flag) in self.published.iter().enumerate() {
             if !flag.load(Ordering::Acquire) {
                 continue;
@@ -1329,8 +931,7 @@ impl<T: Element, S: Scheme> SnapshotView<'_, T, S> {
     #[inline]
     pub fn get(&self, idx: usize) -> T {
         let (block, off) = self.array.locate(self.snap, idx);
-        self.array
-            .load_at(idx / self.array.shared.config.block_size, block, off)
+        self.array.load_at(block, off)
     }
 }
 
@@ -1350,7 +951,7 @@ impl<T: Element, S: Scheme> std::fmt::Debug for RcuArray<T, S> {
 mod tests {
     use super::*;
     use rcuarray_analysis::atomic::AtomicBool;
-    use rcuarray_runtime::Topology;
+    use rcuarray_runtime::{task, FaultAction, FaultPlan, Topology};
 
     fn cluster(n: usize) -> Arc<Cluster> {
         Cluster::new(Topology::new(n, 2))
@@ -1908,7 +1509,6 @@ mod tests {
 
     #[test]
     fn capacity_checked_paths_never_panic_against_growing_and_rolled_back_resizes() {
-        use rcuarray_runtime::FaultAction;
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let panicked = |f: &dyn Fn()| usize::from(catch_unwind(AssertUnwindSafe(f)).is_err());
         // Each trigger fires once after three benign publishes, so about
@@ -2028,245 +1628,23 @@ mod tests {
         assert_eq!(a.scheme_name(), "ebr");
     }
 
-    // ---- availability layer (DESIGN.md §15) ------------------------------
-
-    use rcuarray_runtime::{task, FaultPlan, RetryPolicy};
-
-    fn faulty_cluster(n: usize) -> Arc<Cluster> {
-        Cluster::builder()
-            .topology(Topology::new(n, 2))
-            .fault_plan(FaultPlan::new(7))
-            .build()
-    }
-
-    fn rf2_config() -> Config {
-        Config {
-            block_size: 8,
-            replication_factor: 2,
-            retry: RetryPolicy::new(2, std::time::Duration::from_millis(100)),
-            ..Config::default()
-        }
-    }
-
-    /// Kill `l` and drive the failure detector to `Down` with probe
-    /// rounds from a surviving locale.
-    fn evict(c: &Cluster, l: LocaleId) {
-        c.fault().set_down(l, true);
-        let observer = if l == LocaleId::ZERO {
-            LocaleId::new(1)
-        } else {
-            LocaleId::ZERO
-        };
-        task::with_locale(observer, || {
-            c.probe_membership();
-            c.probe_membership();
-        });
-        assert!(!c.membership().view().in_view(l), "detector must evict {l}");
-    }
-
     #[test]
-    fn rf2_reads_fail_over_when_the_primary_home_dies() {
-        let c = faulty_cluster(3);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, rf2_config());
-        a.resize(24); // 3 blocks: primaries L0/L1/L2, replicas L1/L2/L0
-        for i in 0..24 {
-            a.write(i, i as u64 + 100);
-        }
-        evict(&c, LocaleId::ZERO); // block 0's primary
-        task::with_locale(LocaleId::new(1), || {
-            for i in 0..24 {
-                assert_eq!(a.read(i), i as u64 + 100);
-            }
-        });
-        let s = a.stats();
-        assert!(s.failover_reads >= 8, "block-0 reads must fail over: {s:?}");
-        assert_eq!(s.fallback_reads, 0, "replica served every detour: {s:?}");
-    }
-
-    #[test]
-    fn rf2_acked_writes_reroute_to_the_live_replica() {
-        let c = faulty_cluster(3);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, rf2_config());
-        a.resize(8); // one block: primary L0, replica L1
-        evict(&c, LocaleId::ZERO);
-        task::with_locale(LocaleId::new(1), || {
-            for i in 0..8 {
-                a.write(i, 7 + i as u64);
-            }
-            for i in 0..8 {
-                assert_eq!(a.read(i), 7 + i as u64, "acked write must stay readable");
-            }
-        });
-        let s = a.stats();
-        assert_eq!(s.degraded_writes, 0, "acks reroute to the replica: {s:?}");
-        assert!(s.failover_reads >= 8, "{s:?}");
-    }
-
-    #[test]
-    fn rf2_replica_lag_accumulates_and_drains_at_checkpoint() {
-        let c = cluster(3);
-        let cfg = Config {
-            block_size: 8,
-            replication_factor: 2,
-            ..Config::default()
-        };
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, cfg);
-        a.resize(8); // primary L0, replica L1
-        a.write(0, 5);
-        let elem = u64::byte_size() as u64;
-        assert_eq!(
-            a.stats().replica_lag_bytes,
-            elem,
-            "one deferred replica PUT"
-        );
-        let before = c.comm_stats();
-        a.checkpoint();
-        assert_eq!(
-            a.stats().replica_lag_bytes,
-            0,
-            "checkpoint drains the ledger"
-        );
-        let after = c.comm_stats();
-        assert_eq!(after.puts, before.puts + 1, "the drain is one bulk PUT");
-    }
-
-    #[test]
-    fn rf2_resize_spreads_replica_sets_and_rollback_truncates_them() {
-        use rcuarray_runtime::FaultAction;
+    fn rolled_back_resize_leaves_the_round_robin_cursor_in_place() {
         // The first resize publishes on 3 locales (3 benign hits); the
         // trigger then fails the second resize's first publish.
         let c = Cluster::builder()
             .topology(Topology::new(3, 2))
             .fault_plan(FaultPlan::new(7).trigger("resize.publish", 3, 1, FaultAction::Error))
             .build();
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, rf2_config());
-        a.resize(24); // 3 groups × 2 copies
-        assert_eq!(a.num_blocks(), 6, "rf copies per logical block");
-        assert_eq!(
-            a.stats().blocks_per_locale,
-            vec![2, 2, 2],
-            "copies stay balanced"
-        );
-        // A faulted resize must roll the placement map back with the
-        // snapshots: the aborted group is dropped, and the retry resumes
-        // the paper's cursor sequence.
+        let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
+        a.resize(24); // blocks homed on L0, L1, L2
         assert!(a.try_resize(8).is_err(), "armed trigger must abort");
         assert_eq!(a.capacity(), 24);
         assert_eq!(a.stats().aborted_resizes, 1);
+        // The retry resumes the paper's cursor sequence: the aborted
+        // attempt's block went to L0, and so does the committed one.
         a.resize(8);
         assert_eq!(a.capacity(), 32);
-        let hist = a.stats().blocks_per_locale;
-        // 6 surviving copies + 2 abandoned by the rollback (registry-owned
-        // until drop) + 2 from the successful retry.
-        assert_eq!(hist.iter().sum::<usize>(), 10, "{hist:?}");
-    }
-
-    #[test]
-    fn rf2_lemma6_updates_through_old_refs_reach_replicas() {
-        let c = faulty_cluster(3);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, rf2_config());
-        a.resize(8);
-        let r = a.get_ref(3);
-        a.resize(8); // the reference's block is recycled (Lemma 6)
-        r.set(99);
-        evict(&c, LocaleId::ZERO); // the block's primary home
-        task::with_locale(LocaleId::new(1), || {
-            assert_eq!(
-                a.read(3),
-                99,
-                "update through the old reference must be visible on the replica"
-            );
-        });
-    }
-
-    #[test]
-    fn rf2_repair_rereplicates_after_replica_loss() {
-        let c = faulty_cluster(3);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, rf2_config());
-        a.resize(8); // primary L0, replica L1
-        for i in 0..8 {
-            a.write(i, i as u64 + 30);
-        }
-        evict(&c, LocaleId::new(1)); // the replica home dies
-        let copied = a.repair_replicas();
-        assert!(copied > 0, "under-replicated group must be repaired");
-        assert_eq!(a.repair_replicas(), 0, "repair is idempotent");
-        // Now lose the original primary too: the repaired replica (on
-        // L2) keeps the data readable — loss beyond the *original*
-        // replica set, survived because repair restored RF first.
-        c.fault().set_down(LocaleId::ZERO, true);
-        task::with_locale(LocaleId::new(2), || {
-            c.probe_membership();
-            c.probe_membership();
-            for i in 0..8 {
-                assert_eq!(a.read(i), i as u64 + 30);
-            }
-        });
-        let s = a.stats();
-        assert!(s.rereplicated_bytes > 0, "{s:?}");
-        assert!(s.failover_reads >= 8, "{s:?}");
-        assert_eq!(
-            s.fallback_reads, 0,
-            "repaired replica served everything: {s:?}"
-        );
-    }
-
-    #[test]
-    fn rf2_rejoining_locale_catches_up_before_reentering_views() {
-        let c = faulty_cluster(3);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, rf2_config());
-        a.resize(8); // primary L0, replica L1
-        evict(&c, LocaleId::new(1));
-        // Writes and a resize the dead locale misses entirely.
-        for i in 0..8 {
-            a.write(i, 40 + i as u64);
-        }
-        a.resize(8);
-        assert_eq!(a.capacity(), 16);
-        // Heal: the next probe sees it answering, but only as Rejoining.
-        c.fault().set_down(LocaleId::new(1), false);
-        c.probe_membership();
-        assert!(
-            !c.membership().view().in_view(LocaleId::new(1)),
-            "a rejoiner stays out of views until caught up"
-        );
-        let copied = a.rejoin_catch_up(LocaleId::new(1));
-        assert!(copied > 0, "the stale replica must be refreshed");
-        assert!(c.membership().is_up(LocaleId::new(1)), "caught up ⇒ Up");
-        // The rejoined locale sees the resize it missed and the writes
-        // its replica missed.
-        task::with_locale(LocaleId::new(1), || {
-            for i in 0..8 {
-                assert_eq!(a.read(i), 40 + i as u64);
-            }
-            assert_eq!(a.read(12), 0, "post-outage block visible after catch-up");
-        });
-    }
-
-    #[test]
-    fn rf1_keeps_placement_invisible() {
-        // The paper's exact behavior: no groups beyond the primaries, no
-        // lag, no failover counters — and `stats()` says so.
-        let c = cluster(3);
-        let a: QsbrArray<u64> = RcuArray::with_config(&c, small_config());
-        a.resize(24);
-        a.write(0, 1);
-        a.checkpoint();
-        let s = a.stats();
-        assert_eq!(s.failover_reads, 0);
-        assert_eq!(s.replica_lag_bytes, 0);
-        assert_eq!(s.rereplicated_bytes, 0);
-        assert_eq!(a.repair_replicas(), 0, "nothing to repair at rf = 1");
-    }
-
-    #[test]
-    #[should_panic(expected = "distinct locales")]
-    fn rf_beyond_locale_count_rejected_at_construction() {
-        let c = cluster(2);
-        let cfg = Config {
-            replication_factor: 3,
-            ..small_config()
-        };
-        let _: QsbrArray<u64> = RcuArray::with_config(&c, cfg);
+        assert_eq!(a.get_ref(24).home(), LocaleId::ZERO);
     }
 }

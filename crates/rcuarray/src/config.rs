@@ -1,5 +1,5 @@
-//! Array configuration: block size, retry policy,
-//! reclamation robustness, replication.
+//! Array configuration: block size, retry policy and reclamation
+//! robustness.
 
 use rcuarray_reclaim::{PressureConfig, StallPolicy};
 use rcuarray_runtime::RetryPolicy;
@@ -27,16 +27,6 @@ pub struct Config {
     /// protocol beyond the bound is quarantined (QSBR) or routed
     /// around via evacuation (EBR) so it cannot wedge reclamation.
     pub stall: StallPolicy,
-    /// Copies of every block, including the primary (DESIGN.md §15).
-    /// `1` (the default) reproduces the paper exactly: one home locale
-    /// per block and no replica traffic. `k > 1` places each block on a
-    /// primary plus `k - 1` replica locales: writes fan out to replicas
-    /// (primary-ack, replica charges drained at checkpoints), reads
-    /// fail over to a replica while the primary is `Down`, and the
-    /// array survives the loss of up to `k - 1` locales without losing
-    /// acknowledged writes. Must not exceed the cluster's locale count
-    /// (checked at array construction).
-    pub replication_factor: usize,
 }
 
 impl Default for Config {
@@ -46,7 +36,6 @@ impl Default for Config {
             retry: RetryPolicy::default(),
             pressure: PressureConfig::unbounded(),
             stall: StallPolicy::disabled(),
-            replication_factor: 1,
         }
     }
 }
@@ -60,16 +49,10 @@ impl Config {
         }
     }
 
-    /// Validate invariants (positive block size, sound backlog bound,
-    /// at least one copy of every block).
+    /// Validate invariants (positive block size, sound backlog bound).
     pub fn validate(&self) {
         assert!(self.block_size > 0, "block_size must be positive");
         self.pressure.validate();
-        assert!(
-            self.replication_factor >= 1,
-            "replication_factor counts every copy including the primary; \
-             0 would place blocks nowhere"
-        );
     }
 
     /// Round an element count up to a whole number of blocks, in elements.
@@ -112,17 +95,6 @@ mod tests {
             ..Config::default()
         };
         c.validate();
-    }
-
-    #[test]
-    fn default_replication_is_one_and_zero_is_rejected() {
-        assert_eq!(Config::default().replication_factor, 1);
-        let c = Config {
-            replication_factor: 0,
-            ..Config::default()
-        };
-        let died = std::panic::catch_unwind(move || c.validate());
-        assert!(died.is_err(), "rf=0 must fail validation");
     }
 
     #[test]

@@ -22,47 +22,15 @@ use rcuarray_runtime::LocaleId;
 /// array's own comm path, so under a fault plan they are retried and
 /// counted (fallback reads, degraded writes) exactly like
 /// `RcuArray::read`/`write`.
-///
-/// Under replication (`Config::replication_factor > 1`) the reference
-/// captures the element's replica cells at creation time and fans every
-/// assignment out to them, so Lemma 6 holds on every replica: an update
-/// through a reference from an *old* snapshot is visible through every
-/// copy of the block. Reads always use the primary cell (failover is an
-/// array-level concern; see `RcuArray::read`). A replica swapped out by
-/// repair *after* the reference was taken no longer receives its
-/// assignments — like the snapshot, the replica set is captured, not
-/// tracked.
 pub struct ElemRef<'a, T: Element> {
     cell: &'a T::Repr,
     home: LocaleId,
     charge: &'a Charger,
-    /// Replica cells assignments fan out to (empty at `rf = 1`).
-    replicas: Vec<(LocaleId, &'a T::Repr)>,
 }
 
 impl<'a, T: Element> ElemRef<'a, T> {
     pub(crate) fn new(cell: &'a T::Repr, home: LocaleId, charge: &'a Charger) -> Self {
-        ElemRef {
-            cell,
-            home,
-            charge,
-            replicas: Vec::new(),
-        }
-    }
-
-    /// Attach a replica cell to fan assignments out to (`rf > 1` only).
-    pub(crate) fn push_replica(&mut self, home: LocaleId, cell: &'a T::Repr) {
-        self.replicas.push((home, cell));
-    }
-
-    /// Propagate a just-applied store to every captured replica cell,
-    /// charging one PUT per replica.
-    #[inline]
-    fn fan_out(&self, v: T) {
-        for &(loc, cell) in &self.replicas {
-            self.charge.put(loc, T::byte_size());
-            T::store(cell, v);
-        }
+        ElemRef { cell, home, charge }
     }
 
     /// The locale the underlying block is homed on.
@@ -78,13 +46,11 @@ impl<'a, T: Element> ElemRef<'a, T> {
         T::load(self.cell)
     }
 
-    /// Update the element (a PUT when the block is remote; one more PUT
-    /// per replica under replication).
+    /// Update the element (a PUT when the block is remote).
     #[inline]
     pub fn set(&self, v: T) {
         self.charge.put(self.home, T::byte_size());
         T::store(self.cell, v);
-        self.fan_out(v);
     }
 
     /// Read-modify-write through the reference. Not atomic as a whole —
@@ -103,13 +69,7 @@ impl<'a, T: Element> ElemRef<'a, T> {
     pub fn compare_exchange(&self, current: T, new: T) -> Result<T, T> {
         self.charge.get(self.home, T::byte_size());
         self.charge.put(self.home, T::byte_size());
-        let r = T::compare_exchange(self.cell, current, new);
-        if r.is_ok() {
-            // The exchange is decided by the primary cell; replicas just
-            // mirror the winning value.
-            self.fan_out(new);
-        }
-        r
+        T::compare_exchange(self.cell, current, new)
     }
 
     /// *Atomic* read-modify-write: retries `f` under a compare-exchange
@@ -194,39 +154,6 @@ mod tests {
             }
         });
         assert_eq!(u64::load(&cell), 4000, "atomic RMW must not lose bumps");
-    }
-
-    #[test]
-    fn assignments_fan_out_to_replica_cells() {
-        let cell = u64::new_repr(0);
-        let replica = u64::new_repr(0);
-        let charge = charger(&Cluster::with_locales(2));
-        let mut r: ElemRef<u64> = ElemRef::new(&cell, LocaleId::ZERO, &charge);
-        r.push_replica(LocaleId::new(1), &replica);
-        r.set(7);
-        assert_eq!(u64::load(&replica), 7, "set must reach the replica");
-        assert_eq!(r.compare_exchange(7, 9), Ok(7));
-        assert_eq!(u64::load(&replica), 9, "winning CAS must reach the replica");
-        assert_eq!(r.compare_exchange(7, 11), Err(9));
-        assert_eq!(
-            u64::load(&replica),
-            9,
-            "losing CAS must not touch the replica"
-        );
-        assert_eq!(r.get(), 9, "reads stay on the primary cell");
-    }
-
-    #[test]
-    fn replica_fan_out_is_charged_per_replica() {
-        let cluster = Cluster::new(Topology::new(3, 1));
-        let charge = charger(&cluster);
-        let cell = u32::new_repr(0);
-        let replica = u32::new_repr(0);
-        let mut r: ElemRef<u32> = ElemRef::new(&cell, LocaleId::new(1), &charge);
-        r.push_replica(LocaleId::new(2), &replica);
-        task::with_locale(LocaleId::new(0), || r.set(5));
-        let s = cluster.comm_stats();
-        assert_eq!(s.puts, 2, "one PUT for the primary, one per replica");
     }
 
     #[test]

@@ -61,7 +61,6 @@ pub mod elem_ref;
 pub mod element;
 pub mod handle;
 pub mod iter;
-pub mod placement;
 pub mod scheme;
 pub mod snapshot;
 pub mod stats;
@@ -72,7 +71,6 @@ pub use config::{Config, DEFAULT_BLOCK_SIZE};
 pub use elem_ref::ElemRef;
 pub use element::Element;
 pub use iter::Iter;
-pub use placement::{BlockGroup, PlacementMap, PlacementPlan};
 pub use scheme::{EbrScheme, LeakScheme, QsbrScheme, Scheme};
 pub use snapshot::Snapshot;
 pub use stats::ArrayStats;

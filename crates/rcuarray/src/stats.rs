@@ -24,16 +24,6 @@ pub struct ArrayStats {
     /// Writes whose communication charge failed even after retries; the
     /// store still landed in the (simulated shared-memory) block.
     pub degraded_writes: u64,
-    /// Reads served from a replica block because the primary's home
-    /// locale was not `Up` in the membership view (always zero at
-    /// `replication_factor = 1`).
-    pub failover_reads: u64,
-    /// Bytes copied to restore replication after locale loss (repair)
-    /// or to refresh a rejoining locale's stale copies (catch-up).
-    pub rereplicated_bytes: u64,
-    /// Deferred replica-write charge (bytes) not yet drained by a
-    /// checkpoint — the bounded replica lag of DESIGN.md §15.
-    pub replica_lag_bytes: u64,
     /// Reclamation counters in the scheme-neutral vocabulary, folded over
     /// every locale's engine with [`ReclaimStats::merge`]: per-locale
     /// engines (EBR zones, leak counters) sum; clones of one shared

@@ -47,7 +47,6 @@ pub mod dist;
 pub mod fault;
 pub mod global_lock;
 pub mod locale;
-pub mod membership;
 pub mod privatization;
 pub mod task;
 pub mod topology;
@@ -57,7 +56,6 @@ pub use dist::{BlockDist, RoundRobinCounter};
 pub use fault::{CommError, FaultAction, FaultEvent, FaultPlan, OpKind, RetryPolicy};
 pub use global_lock::{GlobalLock, GlobalLockGuard};
 pub use locale::{Locale, LocaleId};
-pub use membership::{LocaleHealth, Membership, MembershipView};
 pub use privatization::{Pid, PrivHandle, PrivTable};
 pub use task::{current_locale, TaskScope};
 pub use topology::Topology;
@@ -76,7 +74,6 @@ pub struct Cluster {
     locales: Box<[Locale]>,
     comm: CommLayer,
     privatization: PrivTable,
-    membership: Membership,
 }
 
 /// Step-by-step construction of a [`Cluster`]: topology, latency model
@@ -146,7 +143,6 @@ impl ClusterBuilder {
             comm: CommLayer::new(n, self.latency, self.fault_plan),
             privatization: PrivTable::new(),
             topology,
-            membership: Membership::new(n),
         })
     }
 }
@@ -215,41 +211,6 @@ impl Cluster {
         self.comm.fault()
     }
 
-    /// The membership detector (everyone `Up` until probes say otherwise).
-    #[inline]
-    pub fn membership(&self) -> &Membership {
-        &self.membership
-    }
-
-    /// Run one heartbeat round from the current task's locale: send a
-    /// 1-byte probe to every other locale through the comm facade (so
-    /// probes experience the same faults, partitions and latency as data
-    /// traffic) and feed the outcomes to the failure detector. Returns
-    /// the resulting view.
-    ///
-    /// Detection only advances when this is called — there is no
-    /// background prober, which keeps detector timing deterministic
-    /// under a seeded [`FaultPlan`].
-    pub fn probe_membership(&self) -> MembershipView {
-        let observer = task::current_locale();
-        for i in 0..self.num_locales() {
-            let target = LocaleId::new(i as u32);
-            if target == observer {
-                // The observer is trivially reachable from itself; a
-                // probe round is also proof of life for a rejoining
-                // observer's own detector entry.
-                self.membership.record_probe(target, true);
-                continue;
-            }
-            let answered = self
-                .comm
-                .send(observer, target, CommMessage::Put { bytes: 1 })
-                .is_ok();
-            self.membership.record_probe(target, answered);
-        }
-        self.membership.view()
-    }
-
     /// Send one typed message from the current task's locale to `target`
     /// through the comm facade. A message to the task's own locale is a
     /// no-op (nothing crosses a link, nothing is charged).
@@ -268,8 +229,9 @@ impl Cluster {
     }
 
     /// Charge a `bytes`-byte transfer between two locales, initiated by
-    /// `from` (a third-party copy, e.g. resize replication moving a block
-    /// from its old home to its new one). Equal endpoints are a no-op.
+    /// `from` (a third-party copy, e.g. the `UnsafeArray` baseline's
+    /// deep-copy resize moving an element from its old home to its new
+    /// one). Equal endpoints are a no-op.
     #[inline]
     pub fn copy_between(
         &self,
@@ -533,49 +495,6 @@ mod tests {
         assert_eq!(f.puts_failed, 2);
         assert_eq!(f.ons_failed, 2);
         assert_eq!(c.comm_stats().remote_ops(), 0, "nothing completed");
-    }
-
-    #[test]
-    fn probe_rounds_drive_detection_and_heal_through_rejoin() {
-        let c = Cluster::builder()
-            .locales(3)
-            .fault_plan(FaultPlan::new(5))
-            .build();
-        assert_eq!(c.probe_membership().num_members(), 3, "healthy cluster");
-        c.fault().set_down(LocaleId::new(2), true);
-        let v1 = c.probe_membership(); // miss 1 → Suspect (still a member)
-        assert_eq!(
-            v1.health(LocaleId::new(2)),
-            membership::LocaleHealth::Suspect
-        );
-        assert!(v1.in_view(LocaleId::new(2)));
-        let v2 = c.probe_membership(); // miss 2 → Down (evicted)
-        assert_eq!(v2.health(LocaleId::new(2)), membership::LocaleHealth::Down);
-        assert_eq!(v2.members(), vec![LocaleId::new(0), LocaleId::new(1)]);
-        assert!(v2.epoch() > v1.epoch());
-        // Heal the locale: reachable again means Rejoining, not Up.
-        c.fault().set_down(LocaleId::new(2), false);
-        let v3 = c.probe_membership();
-        assert_eq!(
-            v3.health(LocaleId::new(2)),
-            membership::LocaleHealth::Rejoining
-        );
-        assert!(!v3.in_view(LocaleId::new(2)));
-        c.membership().mark_caught_up(LocaleId::new(2));
-        assert!(c.membership().is_up(LocaleId::new(2)));
-        assert_eq!(c.membership().view().num_members(), 3);
-    }
-
-    #[test]
-    fn probes_ride_the_comm_facade_and_are_charged() {
-        let c = Cluster::builder().locales(2).build();
-        let before = c.comm_stats();
-        task::with_locale(LocaleId::ZERO, || {
-            c.probe_membership();
-        });
-        let after = c.comm_stats();
-        assert_eq!(after.puts, before.puts + 1, "one heartbeat per peer");
-        assert_eq!(after.bytes_moved, before.bytes_moved + 1);
     }
 
     #[test]

@@ -49,23 +49,6 @@ pub(crate) static TIMEOUTS: LazyCounter = LazyCounter::new(
     "client waits that timed out before the response arrived",
 );
 
-/// Requests re-routed to a surviving locale's worker pool because their
-/// home locale was out of the membership view (replicated arrays only;
-/// at `replication_factor = 1` the old degrade-to-`Failed` contract
-/// stands and this never moves).
-pub(crate) static FAILOVERS: LazyCounter = LazyCounter::new(
-    "rcuarray_failover_requests_total",
-    "requests re-routed to a surviving locale's worker pool after their home locale died",
-);
-
-/// Time spent picking (and reaching) the surviving pool — the routing
-/// component of failover latency; the array records the data-path
-/// component in `rcuarray_failover_latency_ns`.
-pub(crate) static FAILOVER_ROUTE_NS: LazyHistogram = LazyHistogram::new(
-    "rcuarray_failover_route_ns",
-    "per-request time to re-route onto a surviving worker pool, in nanoseconds",
-);
-
 /// Aggregate queued-request count across all service workers.
 pub(crate) static QUEUE_DEPTH: LazyGauge = LazyGauge::new(
     "rcuarray_service_queue_depth",
@@ -106,16 +89,12 @@ pub struct SloSnapshot {
     pub failures: u64,
     /// Client waits that timed out.
     pub timeouts: u64,
-    /// Requests re-routed to a surviving locale's pool (failover).
-    pub failovers: u64,
     /// Requests currently queued.
     pub queue_depth: i64,
     /// Queue-wait latency distribution.
     pub queue_wait: HistogramSnapshot,
     /// Batch-execute latency distribution.
     pub execute: HistogramSnapshot,
-    /// Failover re-routing latency distribution.
-    pub failover_route: HistogramSnapshot,
 }
 
 impl SloSnapshot {
@@ -135,16 +114,6 @@ impl SloSnapshot {
         }
         self.shed as f64 / self.requests as f64
     }
-
-    /// Fraction of submitted requests that had to fail over to a
-    /// surviving pool; zero on a healthy cluster and always zero at
-    /// `replication_factor = 1`.
-    pub fn failover_rate(&self) -> f64 {
-        if self.requests == 0 {
-            return 0.0;
-        }
-        self.failovers as f64 / self.requests as f64
-    }
 }
 
 impl std::fmt::Display for SloSnapshot {
@@ -159,13 +128,8 @@ impl std::fmt::Display for SloSnapshot {
         )?;
         writeln!(
             f,
-            "shed {}  overloaded {}  failures {}  timeouts {}  failovers {}  queue depth {}",
-            self.shed,
-            self.overloaded,
-            self.failures,
-            self.timeouts,
-            self.failovers,
-            self.queue_depth
+            "shed {}  overloaded {}  failures {}  timeouts {}  queue depth {}",
+            self.shed, self.overloaded, self.failures, self.timeouts, self.queue_depth
         )?;
         writeln!(
             f,
@@ -175,21 +139,13 @@ impl std::fmt::Display for SloSnapshot {
             self.queue_wait.max,
             self.queue_wait.count
         )?;
-        writeln!(
+        write!(
             f,
             "execute     p50 {} ns  p99 {} ns  max {} ns  ({} batches)",
             self.execute.quantile(0.5),
             self.execute.quantile(0.99),
             self.execute.max,
             self.execute.count
-        )?;
-        write!(
-            f,
-            "failover    p50 {} ns  p99 {} ns  max {} ns  ({} re-routes)",
-            self.failover_route.quantile(0.5),
-            self.failover_route.quantile(0.99),
-            self.failover_route.max,
-            self.failover_route.count
         )
     }
 }
@@ -204,11 +160,9 @@ pub fn slo_snapshot() -> SloSnapshot {
         overloaded: OVERLOADED.value(),
         failures: FAILURES.value(),
         timeouts: TIMEOUTS.value(),
-        failovers: FAILOVERS.value(),
         queue_depth: QUEUE_DEPTH.value(),
         queue_wait: QUEUE_WAIT_NS.snapshot(),
         execute: EXECUTE_NS.snapshot(),
-        failover_route: FAILOVER_ROUTE_NS.snapshot(),
     }
 }
 
@@ -226,15 +180,12 @@ mod tests {
             overloaded: 0,
             failures: 0,
             timeouts: 0,
-            failovers: 0,
             queue_depth: 0,
             queue_wait: QUEUE_WAIT_NS.snapshot(),
             execute: EXECUTE_NS.snapshot(),
-            failover_route: FAILOVER_ROUTE_NS.snapshot(),
         };
         assert_eq!(snap.amortization(), 0.0);
         assert_eq!(snap.shed_rate(), 0.0);
-        assert_eq!(snap.failover_rate(), 0.0);
         // Display must not panic on an empty snapshot.
         let _ = snap.to_string();
     }

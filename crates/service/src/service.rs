@@ -117,58 +117,18 @@ impl<T: Element, S: Scheme> Core<T, S> {
         locale * self.cfg.workers_per_locale + spread
     }
 
-    /// Deliver the hand-off active message for queue `qi`. Returns the
-    /// queue that accepted the hand-off — usually `qi` itself, a
-    /// surviving locale's pool when `qi`'s home is out of the membership
-    /// view and the array is replicated — or `None` when nobody can take
-    /// it (the old degrade-to-`Failed` contract, and the only outcome at
-    /// `replication_factor = 1`).
+    /// Deliver the hand-off active message for queue `qi`: `Some(qi)`
+    /// when the queue's home locale accepts it, `None` when the link
+    /// refuses (the request then degrades to `Failed`). The comm send
+    /// doubles as the liveness probe — a partitioned link refuses
+    /// *here*, never hangs.
     fn route(&self, qi: usize) -> Option<usize> {
-        let w = self.cfg.workers_per_locale;
-        let home = qi / w;
-        let target = LocaleId::new(home as u32);
-        let membership = self.array.cluster().membership();
-        let replicated = self.array.config().replication_factor > 1;
-        // Healthy home: hand off as before. The comm send doubles as
-        // the liveness probe — a partitioned link refuses *here*, never
-        // hangs. Skipping the detector consult at rf=1 keeps the old
-        // code path (and its fault-stream draw sequence) bit-identical.
-        if !replicated || membership.is_up(target) {
-            let ok = self
-                .array
-                .cluster()
-                .send_to(target, CommMessage::RemoteExec)
-                .is_ok();
-            if ok {
-                return Some(qi);
-            }
-            if !replicated {
-                return None;
-            }
-        }
-        // Failover: walk the ring for the first in-view pool that accepts
-        // the hand-off. Deterministic (forward scan from the dead home),
-        // so same-seed runs re-route identically. The array layer then
-        // serves the data itself from a replica block.
-        let t0 = Instant::now();
-        for step in 1..self.num_locales {
-            let cand = (home + step) % self.num_locales;
-            let loc = LocaleId::new(cand as u32);
-            if !membership.is_up(loc) {
-                continue;
-            }
-            let ok = self
-                .array
-                .cluster()
-                .send_to(loc, CommMessage::RemoteExec)
-                .is_ok();
-            if ok {
-                metrics::FAILOVERS.inc();
-                metrics::FAILOVER_ROUTE_NS.record(t0.elapsed().as_nanos() as u64);
-                return Some(cand * w + qi % w);
-            }
-        }
-        None
+        let home = LocaleId::new((qi / self.cfg.workers_per_locale) as u32);
+        self.array
+            .cluster()
+            .send_to(home, CommMessage::RemoteExec)
+            .ok()
+            .map(|()| qi)
     }
 
     /// Admit `req` or refuse it. Always returns a ticket; a refused
@@ -179,10 +139,9 @@ impl<T: Element, S: Scheme> Core<T, S> {
         metrics::REQUESTS.inc();
         let (ticket, slot) = Ticket::new();
         // Handing the request to another locale's worker pool is an
-        // active message through the comm layer. With replication the
-        // hand-off fails over to a surviving pool; without it, a dead
-        // link degrades the answer (`Failed`) rather than availability —
-        // the client gets an immediate error, never a hang.
+        // active message through the comm layer. A dead link degrades
+        // the answer (`Failed`) rather than availability — the client
+        // gets an immediate error, never a hang.
         let qi = match self.route(self.queue_for(&req)) {
             Some(qi) => qi,
             None => {
@@ -638,66 +597,6 @@ mod tests {
         let d = Duration::from_millis(5);
         assert!(!is_expired(d, d), "exactly at the deadline still runs");
         assert!(is_expired(d + Duration::from_nanos(1), d));
-    }
-
-    #[test]
-    fn replicated_service_survives_a_dead_locale() {
-        use rcuarray::RetryPolicy;
-        use rcuarray_runtime::FaultPlan;
-        let _serial = METRICS_LOCK.lock();
-        let cluster = Cluster::builder()
-            .topology(Topology::new(3, 2))
-            .fault_plan(FaultPlan::new(11))
-            .build();
-        let array = QsbrArray::<u64>::with_config(
-            &cluster,
-            Config {
-                block_size: 8,
-                replication_factor: 2,
-                retry: RetryPolicy::new(2, Duration::from_millis(100)),
-                ..Config::default()
-            },
-        );
-        array.resize(24);
-        let service = Service::start(array, ServiceConfig::default());
-        let client = service.client();
-        assert_eq!(
-            client.call(Request::Put { idx: 9, value: 99 }),
-            Response::Done { applied: 1 }
-        );
-        // Locale 1 — home of block 1 (indices 8..16) — dies, and the
-        // detector notices over two probe rounds.
-        cluster.fault().set_down(LocaleId::new(1), true);
-        cluster.probe_membership();
-        cluster.probe_membership();
-        let failovers_before = metrics::FAILOVERS.value();
-        let failures_before = metrics::FAILURES.value();
-        // Replicated reads and writes must fail over, never `Failed`.
-        assert_eq!(
-            client.call(Request::Get { idx: 9 }),
-            Response::Value(Some(99)),
-            "the acked write must stay readable through the replica"
-        );
-        assert_eq!(
-            client.call(Request::Put { idx: 9, value: 100 }),
-            Response::Done { applied: 1 }
-        );
-        assert_eq!(
-            client.call(Request::BatchGet {
-                indices: vec![8, 9, 10]
-            }),
-            Response::Values(vec![Some(0), Some(100), Some(0)])
-        );
-        assert!(
-            metrics::FAILOVERS.value() > failovers_before,
-            "re-routes must be counted in rcuarray_failover_requests_total"
-        );
-        assert_eq!(
-            metrics::FAILURES.value(),
-            failures_before,
-            "no request on replicated data may fail for a single dead locale"
-        );
-        service.shutdown();
     }
 
     #[test]
