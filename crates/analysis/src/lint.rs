@@ -35,7 +35,7 @@
 //!    against — it pins the reclamation backlog for the full block.
 //!    Detection is lexical (brace-depth scope tracking) and stops at the
 //!    first `#[cfg(test)]` line: tests deliberately stall readers to
-//!    exercise quarantine and evacuation.
+//!    exercise blocking and backpressure.
 //! 7. **No leaked read guards**: `std::mem::forget` or
 //!    `ManuallyDrop::new` applied to a `let`-bound read-side guard
 //!    (`read_lock()` / `pin()`) suppresses the drop that ends the
@@ -133,10 +133,9 @@ pub const INSTRUMENTED_CRATES: &[&str] = &[
 /// crates. Everything else must use the obs facade for new counters.
 pub const COUNTER_ALLOWLIST: &[&str] = &[
     // ZoneStats-only `pins` (kept out of the registry: the per-read hot
-    // path) and `retires`, plus the evacuation gauges' count and bytes.
+    // path) and the `retires` count behind `ReclaimStats::retired`.
     "crates/ebr/src/epoch.rs",
-    // DomainStats-only `defer_bytes`, the `ticks` robustness clock and
-    // the domain-id source.
+    // DomainStats-only `defer_bytes` and the domain-id source.
     "crates/qsbr/src/domain.rs",
     // ArrayStats-only `fallback_reads` and `degraded_writes`, and a
     // test-module visit counter.

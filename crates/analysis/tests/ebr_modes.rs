@@ -33,7 +33,7 @@ struct Shared {
 /// first zone in the process explores a schedule its own replay cannot
 /// reproduce, and the outcome depends on test order.
 fn warm_metric_handles() {
-    drop(EpochZone::new());
+    let _ = EpochZone::new();
 }
 
 /// The read-vs-reclaim scenario for one ordering mode.

@@ -5,8 +5,7 @@ use crate::backoff::Backoff;
 use crate::ordering::OrderingMode;
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_obs::{LazyCounter, ScopedCounter};
-use rcuarray_reclaim::{PressureConfig, Retired, StallPolicy};
-use std::sync::Mutex;
+use rcuarray_reclaim::Retired;
 
 // Telemetry (see DESIGN.md §7). Each zone holds a scoped counter per
 // event: one call feeds its `ZoneStats` count and the process-wide
@@ -19,14 +18,6 @@ static OBS_RETRIES: LazyCounter = LazyCounter::new(
 );
 static OBS_ADVANCES: LazyCounter =
     LazyCounter::new("rcuarray_ebr_advances_total", "writer epoch advances");
-static OBS_STALLED: LazyCounter = LazyCounter::new(
-    "rcuarray_ebr_stalled_waits_total",
-    "writer drains that hit the stall bound and evacuated instead of spinning",
-);
-static OBS_EVAC_DRAINS: LazyCounter = LazyCounter::new(
-    "rcuarray_ebr_evacuations_drained_total",
-    "evacuated retirements freed after both parity counters drained",
-);
 static OBS_GUARD_PANICS: LazyCounter = LazyCounter::new(
     "rcuarray_ebr_guard_panics_total",
     "epoch guards released while their thread was unwinding from a panic",
@@ -48,41 +39,8 @@ pub struct ZoneStats {
     pub retries: u64,
     /// Writer epoch advances.
     pub advances: u64,
-    /// Writer drains that exhausted the stall bound and evacuated the
-    /// retirement instead of spinning forever.
-    pub stalled: u64,
-    /// Evacuated retirements still waiting for both parity counters to
-    /// drain.
-    pub evac_pending: u64,
-    /// Approximate bytes held by pending evacuations.
-    pub evac_pending_bytes: u64,
     /// Guards released while their thread was unwinding from a panic.
     pub guard_panics: u64,
-}
-
-/// A retirement the writer could not free synchronously because a reader
-/// on the old parity never drained. It is freed once *each* parity
-/// counter has been observed at zero at some point after the entry's
-/// epoch advance: every reader that could hold the unlinked object was
-/// pinned before that advance and is counted on one of the two parities
-/// continuously until it unpins, so two zero observations prove every
-/// such reader has left. (Readers pinning *after* the advance — on
-/// either parity — pinned after the unlink and cannot reach the object;
-/// they only delay the zero observation, never break it.)
-struct EvacEntry {
-    retired: Retired,
-    /// `need[p]`: parity counter `p` has not yet been observed at zero
-    /// since this entry was created.
-    need: [bool; 2],
-}
-
-impl std::fmt::Debug for EvacEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EvacEntry")
-            .field("bytes", &self.retired.bytes())
-            .field("need", &self.need)
-            .finish()
-    }
 }
 
 /// A TLS-free EBR zone: one `GlobalEpoch` and two parity-indexed
@@ -102,22 +60,7 @@ pub struct EpochZone {
     pins: Padded,
     retries: ScopedCounter,
     advances: ScopedCounter,
-    // --- robustness state (DESIGN.md §9), all cold-path ---
-    /// Snooze bound for [`try_wait_for_readers`](Self::try_wait_for_readers)
-    /// (`u64::MAX` = wait forever, the classic protocol).
-    stall_spins: AtomicU64,
-    stall_lag: AtomicU64,
-    /// [`PressureConfig`] fields (`u64::MAX` = unbounded).
-    cap_bytes: AtomicU64,
-    watermark_bytes: AtomicU64,
-    /// Retirements evacuated by stalled drains, waiting for both parity
-    /// counters to drain. Mirrored into `evac_count`/`evac_bytes` so
-    /// stats never take the lock.
-    evac: Mutex<Vec<EvacEntry>>,
-    evac_count: AtomicU64,
-    evac_bytes: AtomicU64,
     retires: AtomicU64,
-    stalled: ScopedCounter,
     guard_panics: ScopedCounter,
 }
 
@@ -169,52 +112,8 @@ impl EpochZone {
             pins: Padded::default(),
             retries: OBS_RETRIES.scoped(),
             advances: OBS_ADVANCES.scoped(),
-            stall_spins: AtomicU64::new(u64::MAX),
-            stall_lag: AtomicU64::new(u64::MAX),
-            cap_bytes: AtomicU64::new(u64::MAX),
-            watermark_bytes: AtomicU64::new(u64::MAX),
-            evac: Mutex::new(Vec::new()),
-            evac_count: AtomicU64::new(0),
-            evac_bytes: AtomicU64::new(0),
             retires: AtomicU64::new(0),
-            stalled: OBS_STALLED.scoped(),
             guard_panics: OBS_GUARD_PANICS.scoped(),
-        }
-    }
-
-    /// Install a stall policy. `patience` bounds how many backoff snoozes
-    /// a writer's drain spends on a parity counter before declaring the
-    /// reader stalled and *evacuating* the retirement instead of spinning
-    /// forever; [`StallPolicy::disabled`] (the default) restores the
-    /// classic wait-forever protocol.
-    pub fn set_stall_policy(&self, policy: StallPolicy) {
-        self.stall_spins.store(policy.patience, Ordering::SeqCst);
-        self.stall_lag.store(policy.lag_epochs, Ordering::SeqCst);
-    }
-
-    /// The currently installed stall policy.
-    pub fn stall_policy(&self) -> StallPolicy {
-        StallPolicy {
-            lag_epochs: self.stall_lag.load(Ordering::SeqCst),
-            patience: self.stall_spins.load(Ordering::SeqCst),
-        }
-    }
-
-    /// Install a backlog byte budget over the evacuation list;
-    /// [`PressureConfig::unbounded`] (the default) disables it.
-    pub fn set_pressure(&self, pressure: PressureConfig) {
-        pressure.validate();
-        self.cap_bytes
-            .store(pressure.max_backlog_bytes, Ordering::SeqCst);
-        self.watermark_bytes
-            .store(pressure.high_watermark, Ordering::SeqCst);
-    }
-
-    /// The currently installed backlog budget.
-    pub fn pressure_config(&self) -> PressureConfig {
-        PressureConfig {
-            max_backlog_bytes: self.cap_bytes.load(Ordering::SeqCst),
-            high_watermark: self.watermark_bytes.load(Ordering::SeqCst),
         }
     }
 
@@ -294,25 +193,6 @@ impl EpochZone {
         }
     }
 
-    /// Bounded [`wait_for_readers`](Self::wait_for_readers): give up after
-    /// the zone's stall bound in backoff snoozes (`u64::MAX` = never give
-    /// up). Returns whether the parity counter drained.
-    #[inline]
-    pub fn try_wait_for_readers(&self, epoch: u64) -> bool {
-        let idx = (epoch & 1) as usize;
-        let bound = self.stall_spins.load(Ordering::Relaxed);
-        let mut backoff = Backoff::new();
-        let mut snoozes = 0u64;
-        while self.readers[idx].0.load(Ordering::Acquire) != 0 {
-            if snoozes >= bound {
-                return false;
-            }
-            backoff.snooze();
-            snoozes += 1;
-        }
-        true
-    }
-
     /// Combined writer barrier: advance then drain; returns the old epoch.
     /// After this returns, memory published *before* the matching
     /// publication store is unreachable by all current and future readers.
@@ -323,74 +203,13 @@ impl EpochZone {
         old
     }
 
-    /// The robust writer path behind `Reclaim::retire`: advance, drain
-    /// within the stall bound, and free synchronously — or, when a reader
-    /// on the old parity never drains, *evacuate* the retirement so the
-    /// writer makes progress and the memory is freed later, once both
-    /// parity counters have been observed empty (see `EvacEntry`).
-    ///
-    /// With the default (disabled) stall policy this is exactly the
-    /// classic synchronous retire.
+    /// The writer path behind `Reclaim::retire`: advance, wait for the
+    /// old parity counter to drain (blocking behind a stalled reader, as
+    /// in Algorithm 1), then free synchronously.
     pub fn retire_robust(&self, retired: Retired) {
         self.retires.fetch_add(1, Ordering::Relaxed);
-        let old = self.advance();
-        if self.try_wait_for_readers(old) {
-            retired.run();
-            // Opportunistic: a drained parity may also release older
-            // evacuations.
-            if self.evac_count.load(Ordering::Relaxed) > 0 {
-                self.try_drain_evac();
-            }
-            return;
-        }
-        // Stalled: park the retirement on the evacuation list instead of
-        // spinning forever behind a dead reader.
-        self.stalled.add(1);
-        let bytes = retired.bytes() as u64;
-        self.evac.lock().unwrap().push(EvacEntry {
-            retired,
-            need: [true, true],
-        });
-        self.evac_count.fetch_add(1, Ordering::Relaxed);
-        self.evac_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Free every evacuated retirement whose parity obligations are now
-    /// met, recording fresh zero observations on the rest. Returns how
-    /// many entries were freed.
-    pub fn try_drain_evac(&self) -> usize {
-        let mut evac = self.evac.lock().unwrap();
-        if evac.is_empty() {
-            return 0;
-        }
-        // One observation of each counter serves every entry: "zero since
-        // the entry's advance" is implied by "zero now" because entries
-        // were pushed before this lock acquisition.
-        let zero = [self.readers_on(0) == 0, self.readers_on(1) == 0];
-        let mut freed = 0usize;
-        let mut freed_bytes = 0u64;
-        let mut kept = Vec::with_capacity(evac.len());
-        for mut e in evac.drain(..) {
-            for (p, &z) in zero.iter().enumerate() {
-                if z {
-                    e.need[p] = false;
-                }
-            }
-            if e.need == [false, false] {
-                freed += 1;
-                freed_bytes += e.retired.bytes() as u64;
-                e.retired.run();
-            } else {
-                kept.push(e);
-            }
-        }
-        *evac = kept;
-        if freed > 0 {
-            self.evac_count.fetch_sub(freed as u64, Ordering::Relaxed);
-            self.evac_bytes.fetch_sub(freed_bytes, Ordering::Relaxed);
-            OBS_EVAC_DRAINS.add(freed as u64);
-        }
-        freed
+        self.synchronize();
+        retired.run();
     }
 
     /// Record a guard released during a panic unwind (called by
@@ -405,9 +224,6 @@ impl EpochZone {
             pins: self.pins.0.load(Ordering::Relaxed),
             retries: self.retries.get(),
             advances: self.advances.get(),
-            stalled: self.stalled.get(),
-            evac_pending: self.evac_count.load(Ordering::Relaxed),
-            evac_pending_bytes: self.evac_bytes.load(Ordering::Relaxed),
             guard_panics: self.guard_panics.get(),
         }
     }

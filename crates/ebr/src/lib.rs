@@ -73,6 +73,4 @@ pub use ordering::OrderingMode;
 
 // The unified reclamation vocabulary and the RCU cell, re-exported so EBR
 // consumers need only this crate.
-pub use rcuarray_reclaim::{
-    Backpressure, PressureConfig, RcuPtr, Reclaim, ReclaimStats, Retired, StallPolicy,
-};
+pub use rcuarray_reclaim::{Backpressure, PressureConfig, RcuPtr, Reclaim, ReclaimStats, Retired};

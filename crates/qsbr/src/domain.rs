@@ -14,7 +14,7 @@ use crate::registry::Registry;
 use crate::state::StateEpoch;
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_obs::{LazyCounter, LazyGauge, LazyHistogram, ScopedCounter};
-use rcuarray_reclaim::{PressureConfig, StallPolicy};
+use rcuarray_reclaim::PressureConfig;
 use std::cell::RefCell;
 use std::sync::{Arc, Weak};
 
@@ -53,19 +53,6 @@ static OBS_BACKLOG_BYTES: LazyGauge = LazyGauge::new(
     "rcuarray_qsbr_defer_backlog_bytes",
     "approximate bytes still pending after the last reclaiming checkpoint",
 );
-static OBS_QUARANTINED: LazyGauge = LazyGauge::new(
-    "rcuarray_qsbr_quarantined_readers",
-    "participants currently force-parked by stall detection",
-);
-static OBS_QUARANTINES: LazyCounter = LazyCounter::new(
-    "rcuarray_qsbr_quarantines_total",
-    "stalled participants force-parked by stall detection",
-);
-static OBS_REJOINS: LazyCounter = LazyCounter::new(
-    "rcuarray_qsbr_rejoins_total",
-    "quarantined participants that resumed participation",
-);
-
 struct DomainInner {
     id: u64,
     state: StateEpoch,
@@ -75,15 +62,6 @@ struct DomainInner {
     checkpoints: ScopedCounter,
     reclaimed: ScopedCounter,
     reclaimed_bytes: ScopedCounter,
-    quarantines: ScopedCounter,
-    /// The robustness clock: bumped by every reclaiming (slow-path)
-    /// checkpoint, never by wall time, so stall detection replays
-    /// identically under the deterministic checker.
-    ticks: AtomicU64,
-    /// [`StallPolicy`] fields, atomically reconfigurable (`u64::MAX` =
-    /// detection off, the default).
-    stall_lag: AtomicU64,
-    stall_patience: AtomicU64,
     /// [`PressureConfig`] fields (`u64::MAX` = unbounded, the default).
     cap_bytes: AtomicU64,
     watermark_bytes: AtomicU64,
@@ -105,10 +83,6 @@ pub struct DomainStats {
     /// passed to [`QsbrDomain::defer_with_bytes`], minus what has been
     /// reclaimed).
     pub pending_bytes: u64,
-    /// Participants currently force-parked by stall detection.
-    pub quarantined: u64,
-    /// Cumulative quarantine events since the domain was created.
-    pub quarantines: u64,
 }
 
 /// A QSBR reclamation domain.
@@ -174,32 +148,9 @@ impl QsbrDomain {
                 checkpoints: OBS_CHECKPOINTS.scoped(),
                 reclaimed: OBS_RECLAIMED.scoped(),
                 reclaimed_bytes: OBS_RECLAIMED_BYTES.scoped(),
-                quarantines: OBS_QUARANTINES.scoped(),
-                ticks: AtomicU64::new(0),
-                stall_lag: AtomicU64::new(u64::MAX),
-                stall_patience: AtomicU64::new(u64::MAX),
                 cap_bytes: AtomicU64::new(u64::MAX),
                 watermark_bytes: AtomicU64::new(u64::MAX),
             }),
-        }
-    }
-
-    /// Install a stall policy; [`StallPolicy::disabled`] (the default)
-    /// restores the classic never-quarantine protocol.
-    pub fn set_stall_policy(&self, policy: StallPolicy) {
-        self.inner
-            .stall_lag
-            .store(policy.lag_epochs, Ordering::SeqCst);
-        self.inner
-            .stall_patience
-            .store(policy.patience, Ordering::SeqCst);
-    }
-
-    /// The currently installed stall policy.
-    pub fn stall_policy(&self) -> StallPolicy {
-        StallPolicy {
-            lag_epochs: self.inner.stall_lag.load(Ordering::SeqCst),
-            patience: self.inner.stall_patience.load(Ordering::SeqCst),
         }
     }
 
@@ -226,12 +177,6 @@ impl QsbrDomain {
         }
     }
 
-    /// The robustness clock: how many reclaiming checkpoints the domain
-    /// has run. Stall patience is measured against this, never wall time.
-    pub fn tick(&self) -> u64 {
-        self.inner.ticks.load(Ordering::Relaxed)
-    }
-
     /// This domain's unique id.
     pub fn id(&self) -> u64 {
         self.inner.id
@@ -252,9 +197,6 @@ impl QsbrDomain {
                 return Arc::clone(&e.record);
             }
             let record = self.inner.registry.register(self.inner.state.read());
-            // A fresh thread starts with full patience: its progress clock
-            // begins *now*, not at domain creation.
-            record.stamp_progress(self.inner.ticks.load(Ordering::Relaxed));
             tls.entries.push(TlsEntry {
                 domain_id: self.inner.id,
                 domain: Arc::downgrade(&self.inner),
@@ -304,20 +246,8 @@ impl QsbrDomain {
     pub fn defer_with_bytes(&self, bytes: usize, reclaim: impl FnOnce() + Send + 'static) {
         let record = self.record();
         let epoch = self.inner.state.bump();
-        let rejoined;
-        {
-            // The guard covers observe + push so stall detection can never
-            // seize the chain between the two.
-            let mut defer = record.lock_defer();
-            rejoined = record.take_quarantined();
-            record.observe(epoch);
-            record.stamp_progress(self.inner.ticks.load(Ordering::Relaxed));
-            defer.push_with_bytes(epoch, bytes, reclaim);
-        }
-        if rejoined {
-            self.inner.registry.note_rejoin();
-            OBS_REJOINS.inc();
-        }
+        record.observe(epoch);
+        record.lock_defer().push_with_bytes(epoch, bytes, reclaim);
         self.inner.defers.add(1);
         self.inner
             .defer_bytes
@@ -342,52 +272,24 @@ impl QsbrDomain {
     pub fn checkpoint(&self) -> usize {
         let record = self.record();
         // Observe the current state: a promise of quiescence of any
-        // earlier state (lines 4–5). The defer guard spans the observe so
-        // stall detection can never quarantine a thread mid-checkpoint.
+        // earlier state (lines 4–5).
         let observed = self.inner.state.read();
-        let (rejoined, pending) = {
-            let defer = record.lock_defer();
-            let rejoined = record.take_quarantined();
-            record.observe(observed);
-            record.stamp_progress(self.inner.ticks.load(Ordering::Relaxed));
-            (rejoined, defer.len())
-        };
-        if rejoined {
-            self.inner.registry.note_rejoin();
-            OBS_REJOINS.inc();
-        }
+        record.observe(observed);
         self.inner.checkpoints.add(1);
         // Fast path: nothing to reclaim here. The announcement above is the
         // checkpoint's semantic payload; the scan and split only matter
         // when this thread has pending defers or orphans exist. This keeps
         // high-frequency checkpoints (Fig. 4's every-op case) to an epoch
         // load, the uncontended defer-flag swap and a few cheap checks.
-        if pending == 0 && !self.inner.registry.has_orphans() {
+        if record.pending() == 0 && !self.inner.registry.has_orphans() {
             return 0;
         }
         // Slow (reclaiming) path: measured — fast-path checkpoints never
         // touch the clock, so Fig. 4's every-op case stays cheap.
         let t0 = rcuarray_obs::enabled().then(std::time::Instant::now);
-        // Reclaiming checkpoints are the robustness clock.
-        let now = self.inner.ticks.fetch_add(1, Ordering::Relaxed) + 1;
-        record.stamp_progress(now);
         // Find the smallest (safest) epoch over all participants
         // (lines 6–8).
-        let mut min = self.inner.registry.min_observed(observed);
-        // Stall detection: when the minimum trails the state epoch past
-        // the policy's lag threshold, quarantine whoever exhausted their
-        // patience and recompute the minimum without them.
-        let policy = self.stall_policy();
-        if policy.detects_lag() && observed.saturating_sub(min) >= policy.lag_epochs {
-            let q = self
-                .inner
-                .registry
-                .quarantine_stalled(observed, now, policy);
-            if q > 0 {
-                self.inner.quarantines.add(q as u64);
-                min = self.inner.registry.min_observed(observed);
-            }
-        }
+        let min = self.inner.registry.min_observed(observed);
         // Split our defer list at the safe boundary and reclaim
         // (lines 9–13).
         let chain: DeferChain = record.lock_defer().pop_less_equal(min);
@@ -422,7 +324,6 @@ impl QsbrDomain {
             let s = self.stats();
             OBS_BACKLOG_ENTRIES.set(s.pending as i64);
             OBS_BACKLOG_BYTES.set(s.pending_bytes as i64);
-            OBS_QUARANTINED.set(self.inner.registry.num_quarantined() as i64);
         }
     }
 
@@ -448,7 +349,6 @@ impl QsbrDomain {
         let record = self.record();
         record.set_parked(false);
         record.observe(self.inner.state.read());
-        record.stamp_progress(self.inner.ticks.load(Ordering::Relaxed));
     }
 
     /// Whether the calling thread is currently parked in this domain.
@@ -471,11 +371,6 @@ impl QsbrDomain {
         self.record().pending()
     }
 
-    /// Participants currently force-parked by stall detection.
-    pub fn num_quarantined(&self) -> usize {
-        self.inner.registry.num_quarantined()
-    }
-
     /// Number of registered, live participants.
     pub fn num_participants(&self) -> usize {
         self.inner.registry.num_participants()
@@ -493,8 +388,6 @@ impl QsbrDomain {
             reclaimed,
             pending: defers.saturating_sub(reclaimed),
             pending_bytes: defer_bytes.saturating_sub(reclaimed_bytes),
-            quarantined: self.inner.registry.num_quarantined() as u64,
-            quarantines: self.inner.quarantines.get(),
         }
     }
 }
@@ -770,129 +663,6 @@ mod tests {
         let d = QsbrDomain::new();
         assert_eq!(d.checkpoint(), 0);
         assert_eq!(d.stats().checkpoints, 1);
-    }
-
-    #[test]
-    fn stalled_reader_is_quarantined_and_reclamation_proceeds() {
-        let d = QsbrDomain::new();
-        d.set_stall_policy(rcuarray_reclaim::StallPolicy::after(1, 2));
-        let c = Arc::new(AtomicUsize::new(0));
-        let registered = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-
-        let d2 = d.clone();
-        let registered2 = Arc::clone(&registered);
-        let release2 = Arc::clone(&release);
-        let staller = rcuarray_analysis::thread::spawn(move || {
-            d2.register_current_thread(); // observes epoch 0, then stalls
-            registered2.wait();
-            release2.wait();
-            // Woken after quarantine: the next checkpoint rejoins.
-            d2.checkpoint();
-            d2.stats()
-        });
-
-        registered.wait();
-        counter_defer(&d, &c);
-        // The staller gates the min; with patience 2, a few reclaiming
-        // checkpoints (each advances the tick) quarantine it and the
-        // backlog drains.
-        let mut freed = 0;
-        for _ in 0..16 {
-            freed += d.checkpoint();
-            if freed > 0 {
-                break;
-            }
-        }
-        assert_eq!(freed, 1, "quarantine must unblock reclamation");
-        assert_eq!(c.load(Ordering::SeqCst), 1);
-        let s = d.stats();
-        assert_eq!(s.quarantined, 1);
-        assert_eq!(s.quarantines, 1);
-
-        release.wait();
-        let after = staller.join().unwrap();
-        assert_eq!(after.quarantined, 0, "rejoin settles the gauge");
-        assert_eq!(after.quarantines, 1, "history is preserved");
-    }
-
-    #[test]
-    fn quarantined_thread_rejoins_and_gates_again() {
-        let d = QsbrDomain::new();
-        // Patience 2: the single post-rejoin checkpoint below must not
-        // re-quarantine the worker on its first tick of lag.
-        d.set_stall_policy(rcuarray_reclaim::StallPolicy::after(1, 2));
-        let c = Arc::new(AtomicUsize::new(0));
-        let stalled = Arc::new(Barrier::new(2));
-        let rejoin = Arc::new(Barrier::new(2));
-        let rejoined = Arc::new(Barrier::new(2));
-        let done = Arc::new(Barrier::new(2));
-
-        let d2 = d.clone();
-        let (s2, rj2, rjd2, done2) = (
-            Arc::clone(&stalled),
-            Arc::clone(&rejoin),
-            Arc::clone(&rejoined),
-            Arc::clone(&done),
-        );
-        let t = rcuarray_analysis::thread::spawn(move || {
-            d2.register_current_thread();
-            s2.wait();
-            rj2.wait();
-            d2.checkpoint(); // rejoin: observes current epoch
-            rjd2.wait();
-            done2.wait(); // stalls again at the rejoined epoch
-            d2.checkpoint();
-        });
-
-        stalled.wait();
-        counter_defer(&d, &c);
-        while d.num_quarantined() == 0 {
-            d.checkpoint();
-        }
-        assert_eq!(c.load(Ordering::SeqCst), 1);
-        rejoin.wait();
-        rejoined.wait();
-        assert_eq!(d.num_quarantined(), 0);
-        // The rejoined thread participates again: a new defer is gated by
-        // it until patience runs out once more.
-        counter_defer(&d, &c);
-        assert_eq!(
-            d.checkpoint(),
-            0,
-            "a rejoined participant gates reclamation again"
-        );
-        done.wait();
-        t.join().unwrap();
-        d.checkpoint();
-        assert_eq!(c.load(Ordering::SeqCst), 2);
-    }
-
-    #[test]
-    fn disabled_stall_policy_preserves_classic_gating() {
-        let d = QsbrDomain::new();
-        let c = Arc::new(AtomicUsize::new(0));
-        let ready = Arc::new(Barrier::new(2));
-        let release = Arc::new(Barrier::new(2));
-
-        let d2 = d.clone();
-        let (ready2, release2) = (Arc::clone(&ready), Arc::clone(&release));
-        let lagger = rcuarray_analysis::thread::spawn(move || {
-            d2.register_current_thread();
-            ready2.wait();
-            release2.wait();
-            d2.checkpoint();
-        });
-
-        ready.wait();
-        counter_defer(&d, &c);
-        for _ in 0..32 {
-            assert_eq!(d.checkpoint(), 0, "no policy, no quarantine — ever");
-        }
-        assert_eq!(d.stats().quarantines, 0);
-        release.wait();
-        lagger.join().unwrap();
-        assert_eq!(d.checkpoint(), 1);
     }
 
     #[test]

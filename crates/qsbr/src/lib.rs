@@ -48,17 +48,13 @@
 //!
 //! ## Robustness (DESIGN.md §9)
 //!
-//! A participant that stops checkpointing gates reclamation forever in
-//! the classic protocol. With a [`StallPolicy`] installed
-//! ([`QsbrDomain::set_stall_policy`]), a reclaiming checkpoint that sees
-//! the minimum trail the state epoch past the policy's lag threshold
-//! *quarantines* the straggler: its defer chain is orphaned and it stops
-//! participating in the minimum (force-park semantics — the domain
-//! asserts a stalled thread holds no protected references, the same
-//! contract `park` states). The quarantined thread rejoins automatically
-//! at its next defer or checkpoint. A [`PressureConfig`]
-//! ([`QsbrDomain::set_pressure`]) additionally bounds the defer backlog
-//! in bytes through the unified trait's `try_retire` path.
+//! A participant that stops checkpointing holds back the minimum, and so
+//! reclamation, until it checkpoints, parks or exits — exactly as in
+//! Algorithm 2. The domain never excludes a participant on its own: it
+//! cannot tell a stalled thread from one still reading protected data.
+//! A [`PressureConfig`] ([`QsbrDomain::set_pressure`]) bounds the defer
+//! backlog in bytes instead, through the unified trait's `try_retire`
+//! path: at the cap a writer is refused rather than the backlog growing.
 //!
 //! ## Example
 //!
@@ -91,6 +87,4 @@ pub use state::StateEpoch;
 
 // The unified reclamation vocabulary, re-exported so QSBR consumers need
 // only this crate.
-pub use rcuarray_reclaim::{
-    Backpressure, PressureConfig, Reclaim, ReclaimStats, Retired, StallPolicy,
-};
+pub use rcuarray_reclaim::{Backpressure, PressureConfig, Reclaim, ReclaimStats, Retired};

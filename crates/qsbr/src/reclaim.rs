@@ -52,9 +52,6 @@ impl Reclaim for QsbrDomain {
             // now. Computed registry-side: probing stats must not register
             // the calling thread as a participant.
             epoch_lag: self.state_epoch().saturating_sub(self.min_observed()),
-            // Cumulative quarantine events: every one is a participant the
-            // domain declared stalled and force-parked.
-            stalled: s.quarantines,
             // QSBR guards are free tokens; nothing to release on unwind.
             guard_panics: 0,
             domain_wide: true,

@@ -8,33 +8,22 @@ use std::cell::UnsafeCell;
 
 /// One thread's QSBR participation state.
 ///
-/// The `observed`/`parked`/`retired`/`quarantined` fields are read by
-/// *other* threads during checkpoints. The defer list is owner-accessed
-/// on every hot path (that is the paper's lock-freedom argument), but
-/// robustness needs one cold exception: quarantining a stalled thread
-/// seizes its chain from the detecting thread. Exclusion is a single
-/// `defer_busy` flag — an uncontended swap+store for the owner, and a
-/// *try*-acquire for the stealer (an owner mid-operation is making
-/// progress and is by definition not stalled).
+/// The `observed`/`parked`/`retired` fields are read by *other* threads
+/// during checkpoints. The defer list is owner-accessed on every hot path
+/// (that is the paper's lock-freedom argument); the one cold exception is
+/// the backlog gauges ([`pending`](Self::pending),
+/// [`pending_bytes`](Self::pending_bytes)), which any thread may read.
+/// Exclusion is a single `defer_busy` flag — an uncontended swap+store
+/// for the owner.
 pub struct ThreadRecord {
     /// The newest `StateEpoch` this thread has promised quiescence up to.
     observed: AtomicU64,
-    /// The domain tick at which this thread last made protocol progress
-    /// (observed an epoch). Stall detection compares it against the
-    /// domain's monotonic tick counter — never wall clock, so detection
-    /// stays deterministic under the checker.
-    progress_stamp: AtomicU64,
     /// Parked threads are skipped by the minimum scan: an idle thread
     /// holds no protected references by contract.
     parked: AtomicBool,
     /// Set when the owning thread exited; the registry prunes retired
     /// records lazily.
     retired: AtomicBool,
-    /// Set by stall detection: a quarantined (force-parked) thread is
-    /// skipped by the minimum scan and its defer chain has been orphaned.
-    /// Cleared by the owner at its next defer/checkpoint, which re-joins
-    /// as if freshly registered.
-    quarantined: AtomicBool,
     /// Exclusion flag over `defer` (see type docs).
     defer_busy: AtomicBool,
     /// LIFO defer list, accessed only while holding `defer_busy`.
@@ -55,10 +44,8 @@ impl ThreadRecord {
     pub fn new(initial_epoch: u64) -> Self {
         ThreadRecord {
             observed: AtomicU64::new(initial_epoch),
-            progress_stamp: AtomicU64::new(0),
             parked: AtomicBool::new(false),
             retired: AtomicBool::new(false),
-            quarantined: AtomicBool::new(false),
             defer_busy: AtomicBool::new(false),
             defer: UnsafeCell::new(DeferList::new()),
         }
@@ -82,18 +69,6 @@ impl ThreadRecord {
         // Release: everything this thread did with older snapshots
         // happens-before another thread trusting this announcement.
         self.observed.store(epoch, Ordering::Release);
-    }
-
-    /// The domain tick at which this thread last stamped progress.
-    #[inline]
-    pub fn progress_stamp(&self) -> u64 {
-        self.progress_stamp.load(Ordering::Acquire)
-    }
-
-    /// Stamp protocol progress at domain tick `tick`.
-    #[inline]
-    pub fn stamp_progress(&self, tick: u64) {
-        self.progress_stamp.store(tick, Ordering::Release);
     }
 
     /// Whether the thread is parked (idle, excluded from the minimum).
@@ -120,53 +95,21 @@ impl ThreadRecord {
         self.retired.store(true, Ordering::Release);
     }
 
-    /// Whether stall detection has force-parked this thread.
-    #[inline]
-    pub fn is_quarantined(&self) -> bool {
-        self.quarantined.load(Ordering::Acquire)
-    }
-
-    /// Mark quarantined. Call only while holding the record's
-    /// [`DeferGuard`] so the owner cannot race the chain seizure.
-    #[inline]
-    pub fn set_quarantined(&self, quarantined: bool) {
-        self.quarantined.store(quarantined, Ordering::Release);
-    }
-
-    /// Clear the quarantine flag, returning whether it was set. Owner
-    /// rejoin path; call while holding the record's [`DeferGuard`].
-    #[inline]
-    pub fn take_quarantined(&self) -> bool {
-        self.quarantined.swap(false, Ordering::AcqRel)
-    }
-
     /// Whether the minimum-epoch scan should consider this record.
     #[inline]
     pub fn participates(&self) -> bool {
-        !self.is_parked() && !self.is_retired() && !self.is_quarantined()
+        !self.is_parked() && !self.is_retired()
     }
 
     /// Exclusive access to the defer list, spin-acquiring the exclusion
-    /// flag. Contention exists only against the (cold, try-only)
-    /// quarantine seizure, so the owner's acquisition is one uncontended
-    /// atomic swap in practice.
+    /// flag. Contention exists only against the (cold) backlog gauges, so
+    /// the owner's acquisition is one uncontended atomic swap in practice.
     #[inline]
     pub fn lock_defer(&self) -> DeferGuard<'_> {
         while self.defer_busy.swap(true, Ordering::Acquire) {
             rcuarray_analysis::thread::yield_now();
         }
         DeferGuard { record: self }
-    }
-
-    /// Non-blocking [`lock_defer`](Self::lock_defer) for the quarantine
-    /// path: an owner mid-operation is making progress, so a failed
-    /// acquisition means "not stalled — skip".
-    #[inline]
-    pub fn try_lock_defer(&self) -> Option<DeferGuard<'_>> {
-        if self.defer_busy.swap(true, Ordering::Acquire) {
-            return None;
-        }
-        Some(DeferGuard { record: self })
     }
 
     /// Number of pending defers (acquires the exclusion flag briefly).
@@ -215,7 +158,6 @@ impl std::fmt::Debug for ThreadRecord {
             .field("observed", &self.observed())
             .field("parked", &self.is_parked())
             .field("retired", &self.is_retired())
-            .field("quarantined", &self.is_quarantined())
             .finish()
     }
 }
@@ -265,38 +207,11 @@ mod tests {
     }
 
     #[test]
-    fn quarantined_records_do_not_participate() {
-        let r = ThreadRecord::new(0);
-        r.set_quarantined(true);
-        assert!(!r.participates());
-        assert!(r.take_quarantined(), "flag was set");
-        assert!(!r.take_quarantined(), "flag consumed");
-        assert!(r.participates());
-    }
-
-    #[test]
-    fn progress_stamp_round_trips() {
-        let r = ThreadRecord::new(0);
-        assert_eq!(r.progress_stamp(), 0);
-        r.stamp_progress(42);
-        assert_eq!(r.progress_stamp(), 42);
-    }
-
-    #[test]
     fn defer_list_is_reachable_through_the_guard() {
         let r = ThreadRecord::new(0);
         r.lock_defer().push(1, || {});
         assert_eq!(r.pending(), 1);
         drop(r.lock_defer().take_all());
         assert_eq!(r.pending(), 0);
-    }
-
-    #[test]
-    fn try_lock_defer_fails_while_held() {
-        let r = ThreadRecord::new(0);
-        let g = r.lock_defer();
-        assert!(r.try_lock_defer().is_none(), "flag is exclusive");
-        drop(g);
-        assert!(r.try_lock_defer().is_some());
     }
 }

@@ -9,7 +9,6 @@
 use crate::defer_list::DeferChain;
 use crate::record::ThreadRecord;
 use rcuarray_analysis::sync::{Mutex, RwLock};
-use rcuarray_reclaim::StallPolicy;
 use std::sync::Arc;
 
 /// An orphaned defer chain left behind by an exited thread, tagged with
@@ -28,8 +27,6 @@ pub struct Registry {
     /// Lock-free mirror of `orphans.len()`, so the checkpoint hot path
     /// can skip orphan processing without touching the mutex.
     orphan_count: rcuarray_analysis::atomic::AtomicUsize,
-    /// Currently quarantined (force-parked) participants.
-    quarantined_count: rcuarray_analysis::atomic::AtomicUsize,
 }
 
 impl Registry {
@@ -51,23 +48,9 @@ impl Registry {
     /// Remove a participant at thread exit. Any reclamations still pending
     /// on its defer list are handed to the orphan list so they are neither
     /// leaked nor freed early.
-    ///
-    /// The record is retired *before* its defer list is drained; the drain
-    /// holds the record's exclusion flag, so a concurrent quarantine scan
-    /// either finished first (the list is already empty) or skips the
-    /// record.
     pub fn unregister(&self, record: &Arc<ThreadRecord>) {
         record.retire();
-        let leftovers = {
-            let mut defer = record.lock_defer();
-            if record.take_quarantined() {
-                // Exited while quarantined: its chain was already orphaned
-                // by the detector; just settle the gauge.
-                self.quarantined_count
-                    .fetch_sub(1, rcuarray_analysis::atomic::Ordering::AcqRel);
-            }
-            defer.take_all()
-        };
+        let leftovers = record.lock_defer().take_all();
         self.adopt(leftovers);
         self.records.write().retain(|r| !Arc::ptr_eq(r, record));
     }
@@ -130,76 +113,6 @@ impl Registry {
         self.orphan_count
             .store(orphans.len(), rcuarray_analysis::atomic::Ordering::Release);
         (freed, freed_bytes)
-    }
-
-    /// Quarantine every participant that `policy` declares stalled:
-    /// `state_epoch - observed >= lag_epochs` *and* no progress stamp for
-    /// `patience` ticks (`now_tick - stamp >= patience`). A quarantined
-    /// record stops gating the minimum scan and its defer chain moves to
-    /// the orphan list (safe to seize: the detector holds the record's
-    /// exclusion flag; an owner mid-operation fails the try-lock and is,
-    /// by making progress, not stalled). Returns how many were
-    /// quarantined.
-    ///
-    /// Semantics are exactly force-park: the domain asserts the stalled
-    /// thread holds no protected references, the same contract
-    /// [`park`](crate::QsbrDomain::park) places on a thread voluntarily.
-    /// Thresholds must be chosen so only dead/idle readers trip them —
-    /// see DESIGN.md §9.
-    pub fn quarantine_stalled(
-        &self,
-        state_epoch: u64,
-        now_tick: u64,
-        policy: StallPolicy,
-    ) -> usize {
-        if !policy.detects_lag() {
-            return 0;
-        }
-        let mut quarantined = 0;
-        let records = self.records.read();
-        for r in records.iter() {
-            if !r.participates() {
-                continue;
-            }
-            if state_epoch.saturating_sub(r.observed()) < policy.lag_epochs {
-                continue;
-            }
-            if now_tick.saturating_sub(r.progress_stamp()) < policy.patience {
-                continue;
-            }
-            let Some(mut defer) = r.try_lock_defer() else {
-                continue; // owner mid-operation: progressing, not stalled
-            };
-            // Re-check under the flag: the owner may have checkpointed
-            // between the scan above and our acquisition.
-            if state_epoch.saturating_sub(r.observed()) < policy.lag_epochs {
-                continue;
-            }
-            r.set_quarantined(true);
-            let chain = defer.take_all();
-            drop(defer);
-            self.adopt(chain);
-            quarantined += 1;
-        }
-        if quarantined > 0 {
-            use rcuarray_analysis::atomic::Ordering;
-            self.quarantined_count
-                .fetch_add(quarantined, Ordering::AcqRel);
-        }
-        quarantined
-    }
-
-    /// Settle the quarantine gauge when an owner re-joins (cleared its own
-    /// quarantine flag at a defer/checkpoint).
-    pub fn note_rejoin(&self) {
-        self.quarantined_count
-            .fetch_sub(1, rcuarray_analysis::atomic::Ordering::AcqRel);
-    }
-
-    /// Participants currently quarantined.
-    pub fn num_quarantined(&self) -> usize {
-        self.quarantined_count
-            .load(rcuarray_analysis::atomic::Ordering::Acquire)
     }
 
     /// Number of live (non-retired) participants.
@@ -318,68 +231,6 @@ mod tests {
         a.retire(); // simulate exit without full unregister
         let _b = reg.register(0);
         assert_eq!(reg.num_participants(), 1);
-    }
-
-    #[test]
-    fn quarantine_stalled_orphans_the_chain_and_unblocks_the_min() {
-        let reg = Registry::new();
-        let freed = Arc::new(AtomicUsize::new(0));
-        let stalled = reg.register(0); // lags forever
-        let writer = reg.register(0);
-        let f2 = Arc::clone(&freed);
-        stalled.lock_defer().push(1, move || {
-            f2.fetch_add(1, Ordering::SeqCst);
-        });
-        writer.observe(10);
-        assert_eq!(reg.min_observed(10), 0, "stalled record gates the min");
-        // Below both thresholds: nothing happens.
-        assert_eq!(reg.quarantine_stalled(10, 0, StallPolicy::after(100, 0)), 0);
-        assert_eq!(reg.quarantine_stalled(10, 0, StallPolicy::after(4, 5)), 0);
-        // Lag 10 >= 4 and 5 ticks of no progress: quarantined.
-        assert_eq!(reg.quarantine_stalled(10, 5, StallPolicy::after(4, 5)), 1);
-        assert!(stalled.is_quarantined());
-        assert_eq!(reg.num_quarantined(), 1);
-        assert_eq!(reg.min_observed(10), 10, "min no longer gated");
-        // Its chain was orphaned, gated on its own epochs, and now frees.
-        assert_eq!(reg.num_orphans(), 1);
-        assert_eq!(reg.reclaim_orphans(10), (1, 0));
-        assert_eq!(freed.load(Ordering::SeqCst), 1);
-        // A second scan is idempotent: quarantined records do not
-        // participate.
-        assert_eq!(reg.quarantine_stalled(10, 9, StallPolicy::after(4, 5)), 0);
-    }
-
-    #[test]
-    fn quarantine_skips_records_with_the_defer_flag_held() {
-        let reg = Registry::new();
-        let stalled = reg.register(0);
-        let _busy = stalled.lock_defer(); // owner "mid-operation"
-        assert_eq!(
-            reg.quarantine_stalled(100, 100, StallPolicy::after(1, 0)),
-            0,
-            "an owner holding its flag is progressing, not stalled"
-        );
-        assert!(!stalled.is_quarantined());
-    }
-
-    #[test]
-    fn disabled_policy_never_quarantines() {
-        let reg = Registry::new();
-        let _r = reg.register(0);
-        assert_eq!(
-            reg.quarantine_stalled(u64::MAX - 1, u64::MAX - 1, StallPolicy::disabled()),
-            0
-        );
-    }
-
-    #[test]
-    fn unregister_while_quarantined_settles_the_gauge() {
-        let reg = Registry::new();
-        let r = reg.register(0);
-        assert_eq!(reg.quarantine_stalled(10, 10, StallPolicy::after(1, 1)), 1);
-        assert_eq!(reg.num_quarantined(), 1);
-        reg.unregister(&r);
-        assert_eq!(reg.num_quarantined(), 0);
     }
 
     #[test]

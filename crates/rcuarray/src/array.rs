@@ -322,9 +322,10 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
     /// past the watermark the publishing task helps reclaim, and at the
     /// byte cap it falls back to [`Reclaim::retire_or_quiesce`] — the
     /// snapshot is already unlinked, so it *must* be handed to the scheme;
-    /// the blocking fallback (with its escape hatch) bounds the backlog
-    /// without ever dropping a retirement. New resizes are refused before
-    /// reaching this point (see [`try_resize`](Self::try_resize)).
+    /// the blocking fallback never drops a retirement, and past the cap
+    /// under a stalled participant it retires anyway and counts the
+    /// overrun. New resizes are refused before reaching this point (see
+    /// [`try_resize`](Self::try_resize)).
     fn retire_snapshot(&self, st: &LocaleState<T, S::Reclaim>, old_ptr: NonNull<Snapshot<T>>) {
         // SAFETY: unlinked by the caller, so the pointer stays valid until
         // the retirement closure (its sole holder) frees it — whenever the
@@ -519,8 +520,9 @@ impl<T: Element, S: Scheme> RcuArray<T, S> {
         // already sits at its byte cap — after giving this task's engine
         // one chance to help drain. `CommError::Backpressure` is
         // retryable: `resize` keeps trying under [`Config::retry`], and
-        // the pressure lifts once readers progress (or a stalled one is
-        // quarantined / routed around).
+        // the pressure lifts once every reader checkpoints, parks or
+        // exits. A stalled reader keeps it refused: nothing here may free
+        // a snapshot that reader could still hold.
         let gate_state = self.state.get();
         let gate = gate_state.reclaim();
         let pressure = gate.pressure();
@@ -1521,7 +1523,20 @@ mod tests {
             .topology(Topology::new(2, 2))
             .fault_plan(plan)
             .build();
-        let a: EbrArray<u64> = RcuArray::with_config(&c, small_config());
+        // Resizes retry rolled-back publishes on their attempt budget
+        // alone: the default 100 ms time budget can run out first on a
+        // loaded host, which would fail this test for the wrong reason.
+        let retry = RetryPolicy {
+            op_timeout: std::time::Duration::from_secs(3600),
+            ..RetryPolicy::default()
+        };
+        let a: EbrArray<u64> = RcuArray::with_config(
+            &c,
+            Config {
+                retry,
+                ..small_config()
+            },
+        );
         a.resize(8);
         let stop = AtomicBool::new(false);
         let reader = |l: u32| {

@@ -1,7 +1,7 @@
-//! Array configuration: block size, retry policy and reclamation
-//! robustness.
+//! Array configuration: block size, retry policy and the reclamation
+//! backlog bound.
 
-use rcuarray_reclaim::{PressureConfig, StallPolicy};
+use rcuarray_reclaim::PressureConfig;
 use rcuarray_runtime::RetryPolicy;
 
 /// The paper's benchmarks resize "in increments of 1024" with blocks of
@@ -20,13 +20,10 @@ pub struct Config {
     /// Memory bound on the reclamation backlog (DESIGN.md §9). Unbounded
     /// by default; with a bound installed, resizes past the high
     /// watermark help reclaim, and past the byte cap they refuse with
-    /// `CommError::Backpressure` instead of growing the backlog.
+    /// `CommError::Backpressure` instead of growing the backlog. QSBR and
+    /// the leak scheme honour it; EBR ignores it, because it frees every
+    /// retirement synchronously and so never has a backlog.
     pub pressure: PressureConfig,
-    /// Stalled-reader detection (DESIGN.md §9). Disabled by default;
-    /// with a policy installed, a reader that lags the reclamation
-    /// protocol beyond the bound is quarantined (QSBR) or routed
-    /// around via evacuation (EBR) so it cannot wedge reclamation.
-    pub stall: StallPolicy,
 }
 
 impl Default for Config {
@@ -35,7 +32,6 @@ impl Default for Config {
             block_size: DEFAULT_BLOCK_SIZE,
             retry: RetryPolicy::default(),
             pressure: PressureConfig::unbounded(),
-            stall: StallPolicy::disabled(),
         }
     }
 }
@@ -80,7 +76,6 @@ mod tests {
         let c = Config::default();
         assert_eq!(c.block_size, 1024);
         assert!(!c.pressure.is_bounded(), "unbounded backlog by default");
-        assert!(!c.stall.detects_lag(), "stall detection off by default");
         c.validate();
     }
 

@@ -63,8 +63,8 @@ impl<'a, T: Element> ElemRef<'a, T> {
 
     /// Atomic compare-exchange through the reference (counted as one GET
     /// plus one PUT when remote, like a network RMW). Not used by the
-    /// array itself; exists for structures built on top (e.g. the
-    /// distributed table claiming key slots).
+    /// array's reads and updates; [`fetch_update`](Self::fetch_update)
+    /// loops on it.
     #[inline]
     pub fn compare_exchange(&self, current: T, new: T) -> Result<T, T> {
         self.charge.get(self.home, T::byte_size());

@@ -41,10 +41,11 @@ pub trait Element: Copy + Default + Send + Sync + 'static {
     /// `current` (bitwise comparison for floats). Returns `Ok(current)`
     /// on success and `Err(actual)` on failure.
     ///
-    /// Element CAS is *not* used by RCUArray itself (its reads/updates
-    /// are single loads/stores, per the paper's cost model); it exists so
-    /// higher-level structures built on the array — like the distributed
-    /// table of §VI — can claim slots race-freely.
+    /// Element CAS is *not* used by RCUArray's reads and updates (they
+    /// are single loads/stores, per the paper's cost model); it backs
+    /// [`ElemRef::compare_exchange`](crate::ElemRef::compare_exchange)
+    /// and the lossless read-modify-write
+    /// [`ElemRef::fetch_update`](crate::ElemRef::fetch_update).
     fn compare_exchange(r: &Self::Repr, current: Self, new: Self) -> Result<Self, Self>;
 
     /// Size in bytes moved per element access (for communication

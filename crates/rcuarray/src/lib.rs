@@ -77,9 +77,7 @@ pub use stats::ArrayStats;
 
 // The unified reclamation vocabulary, re-exported so scheme-generic code
 // (and out-of-crate `Scheme` implementations) need only this crate.
-pub use rcuarray_reclaim::{
-    Backpressure, PressureConfig, Reclaim, ReclaimStats, Retired, StallPolicy,
-};
+pub use rcuarray_reclaim::{Backpressure, PressureConfig, Reclaim, ReclaimStats, Retired};
 
 // Fault-injection vocabulary, re-exported so applications handling
 // `try_resize` errors or configuring retries need only this crate.

@@ -17,7 +17,7 @@
 use crate::config::Config;
 use rcuarray_ebr::EpochZone;
 use rcuarray_qsbr::QsbrDomain;
-use rcuarray_reclaim::{LeakReclaim, PressureConfig, Reclaim, StallPolicy};
+use rcuarray_reclaim::{LeakReclaim, PressureConfig, Reclaim};
 
 /// A reclamation scheme: cluster-wide shared state plus a factory for the
 /// per-locale [`Reclaim`] engines embedded in the privatized metadata.
@@ -49,32 +49,22 @@ pub trait Scheme: Send + Sync + Sized + 'static {
 
 /// Epoch-based reclamation: reads pay the TLS-free two-counter protocol
 /// on a per-locale [`EpochZone`]; resizes reclaim old snapshots
-/// synchronously (the paper's `EBRArray`).
+/// synchronously (the paper's `EBRArray`), so [`Config::pressure`] has
+/// nothing to bound.
 #[derive(Debug)]
-pub struct EbrScheme {
-    pressure: PressureConfig,
-    stall: StallPolicy,
-}
+pub struct EbrScheme;
 
 impl Scheme for EbrScheme {
     type Reclaim = EpochZone;
     const NAME: &'static str = "ebr";
 
-    fn new_shared(config: &Config) -> Self {
-        EbrScheme {
-            pressure: config.pressure,
-            stall: config.stall,
-        }
+    fn new_shared(_config: &Config) -> Self {
+        EbrScheme
     }
 
     fn reclaimer(&self) -> EpochZone {
         // Each locale gets its own zone: reader traffic stays node-local.
-        // Robustness knobs are per-zone: the bound applies to each
-        // locale's evacuation backlog independently.
-        let zone = EpochZone::new();
-        zone.set_stall_policy(self.stall);
-        zone.set_pressure(self.pressure);
-        zone
+        EpochZone::new()
     }
 }
 
@@ -92,9 +82,8 @@ impl Scheme for QsbrScheme {
 
     fn new_shared(config: &Config) -> Self {
         let domain = QsbrDomain::new();
-        // Robustness knobs are domain-wide: one backlog bound and one
-        // stall policy cover every locale sharing the domain.
-        domain.set_stall_policy(config.stall);
+        // The backlog bound is domain-wide: one budget covers every
+        // locale sharing the domain.
         domain.set_pressure(config.pressure);
         QsbrScheme { domain }
     }

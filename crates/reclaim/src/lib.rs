@@ -32,20 +32,17 @@
 //! ## Robustness (DESIGN.md §9)
 //!
 //! Epoch schemes are classically fragile: one stalled reader blocks
-//! reclamation forever and the backlog grows without bound. Two knobs
-//! bound the damage:
-//!
-//! * [`PressureConfig`] puts a byte budget on the backlog. Past the
-//!   [`high_watermark`](PressureConfig::high_watermark) a retiring writer
-//!   *helps reclaim* (a forced [`quiesce`](Reclaim::quiesce)); past the
-//!   hard [`max_backlog_bytes`](PressureConfig::max_backlog_bytes) cap,
-//!   [`try_retire`](Reclaim::try_retire) degrades gracefully to
-//!   `Err(`[`Backpressure`]`)` and
-//!   [`retire_or_quiesce`](Reclaim::retire_or_quiesce) is the blocking
-//!   fallback.
-//! * [`StallPolicy`] tells a scheme when a non-progressing participant
-//!   counts as *stalled*: QSBR quarantines it (force-park), EBR flips the
-//!   writer into an evacuation epoch instead of spinning forever.
+//! reclamation and the backlog grows without bound. The paper's
+//! protocols have no stall escape, and neither do these: a stalled EBR
+//! reader blocks the writer, a stalled QSBR participant holds back the
+//! minimum. [`PressureConfig`] puts a byte budget on the backlog instead.
+//! Past the [`high_watermark`](PressureConfig::high_watermark) a retiring
+//! writer *helps reclaim* (a forced [`quiesce`](Reclaim::quiesce)); past
+//! the hard [`max_backlog_bytes`](PressureConfig::max_backlog_bytes) cap,
+//! [`try_retire`](Reclaim::try_retire) degrades gracefully to
+//! `Err(`[`Backpressure`]`)` and
+//! [`retire_or_quiesce`](Reclaim::retire_or_quiesce) is the blocking
+//! fallback.
 
 use rcuarray_analysis::atomic::{AtomicU64, Ordering};
 use rcuarray_obs::LazyCounter;
@@ -245,64 +242,6 @@ impl Default for PressureConfig {
     }
 }
 
-/// When a non-progressing participant counts as *stalled* (DESIGN.md §9).
-///
-/// Progress is measured in protocol events, never wall clock, so stall
-/// detection stays deterministic under the `rcuarray-analysis` checker:
-/// QSBR compares epoch lag plus a monotonic tick counter advanced by
-/// reclaiming checkpoints; EBR counts writer backoff steps against a
-/// parity counter that never drains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StallPolicy {
-    /// QSBR: a participant whose observed epoch trails the state epoch by
-    /// at least this many epochs is a quarantine candidate. `u64::MAX`
-    /// disables stall detection entirely.
-    pub lag_epochs: u64,
-    /// How long a candidate must additionally fail to make progress
-    /// before it is declared stalled: QSBR counts domain ticks since the
-    /// participant's last progress stamp; EBR counts writer backoff
-    /// snoozes against the non-draining parity counter (`u64::MAX` means
-    /// the EBR writer waits forever — the classic protocol).
-    pub patience: u64,
-}
-
-impl StallPolicy {
-    /// No stall detection (the pre-robustness behavior, and the default).
-    pub const fn disabled() -> Self {
-        StallPolicy {
-            lag_epochs: u64::MAX,
-            patience: u64::MAX,
-        }
-    }
-
-    /// Detect stalls after `lag_epochs` of epoch lag and `patience`
-    /// progress-free ticks/snoozes.
-    pub const fn after(lag_epochs: u64, patience: u64) -> Self {
-        StallPolicy {
-            lag_epochs,
-            patience,
-        }
-    }
-
-    /// Whether QSBR-style lag detection is active.
-    #[inline]
-    pub fn detects_lag(&self) -> bool {
-        self.lag_epochs != u64::MAX
-    }
-
-    /// Whether EBR-style bounded waiting is active.
-    #[inline]
-    pub fn bounds_waits(&self) -> bool {
-        self.patience != u64::MAX
-    }
-}
-
-impl Default for StallPolicy {
-    fn default() -> Self {
-        Self::disabled()
-    }
-}
-
 /// The backlog is at its hard cap: the scheme refused to take the object.
 /// Ownership comes back to the caller via
 /// [`into_retired`](Backpressure::into_retired) so nothing is leaked.
@@ -364,9 +303,6 @@ pub struct ReclaimStats {
     /// How many epochs the slowest participant trails the writer (QSBR's
     /// `state_epoch - min_observed`; zero for synchronous schemes).
     pub epoch_lag: u64,
-    /// Stall events the scheme has observed: quarantined participants for
-    /// QSBR, writer waits that hit the stall bound for EBR.
-    pub stalled: u64,
     /// Guards released while their thread was unwinding from a panic.
     pub guard_panics: u64,
     /// True when these counters are domain-global rather than
@@ -391,7 +327,6 @@ impl ReclaimStats {
                 pending: self.pending.max(other.pending),
                 pending_bytes: self.pending_bytes.max(other.pending_bytes),
                 epoch_lag: self.epoch_lag.max(other.epoch_lag),
-                stalled: self.stalled.max(other.stalled),
                 guard_panics: self.guard_panics.max(other.guard_panics),
                 domain_wide: true,
             }
@@ -405,7 +340,6 @@ impl ReclaimStats {
                 pending: self.pending + other.pending,
                 pending_bytes: self.pending_bytes + other.pending_bytes,
                 epoch_lag: self.epoch_lag.max(other.epoch_lag),
-                stalled: self.stalled + other.stalled,
                 guard_panics: self.guard_panics + other.guard_panics,
                 domain_wide: false,
             }
@@ -491,13 +425,12 @@ pub trait Reclaim: Send + Sync + 'static {
     /// number of objects freed while waiting.
     ///
     /// Liveness escape: if two consecutive quiesces free nothing (the
-    /// backlog is gated by something this thread cannot drain — e.g. an
-    /// EBR reader pinned forever), the object is retired anyway rather
-    /// than deadlocking the writer; the overshoot is counted in the
-    /// `rcuarray_reclaim_cap_overruns_total` metric. Under stall
-    /// detection ([`StallPolicy`]) the gating participant is eventually
-    /// quarantined, so the escape only fires when detection is off or
-    /// the stall is undetectable.
+    /// backlog is gated by something this thread cannot drain — e.g. a
+    /// QSBR participant that stopped checkpointing), the object is
+    /// retired anyway rather than deadlocking the writer; every such
+    /// overshoot is counted in the `rcuarray_reclaim_cap_overruns_total`
+    /// metric. The backlog therefore stays within the cap plus one retire
+    /// only while no participant stalls.
     fn retire_or_quiesce(&self, retired: Retired) -> usize {
         let mut freed = 0usize;
         let mut r = retired;
@@ -763,16 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn stall_policy_flags() {
-        let off = StallPolicy::disabled();
-        assert!(!off.detects_lag());
-        assert!(!off.bounds_waits());
-        let on = StallPolicy::after(4, 2);
-        assert!(on.detects_lag());
-        assert!(on.bounds_waits());
-    }
-
-    #[test]
     fn unbounded_try_retire_is_plain_retire() {
         let leak = LeakReclaim::new();
         assert!(leak.try_retire(Retired::with_bytes(1 << 40, || {})).is_ok());
@@ -827,12 +750,10 @@ mod tests {
     #[test]
     fn merge_sums_robustness_counters_per_instance() {
         let a = ReclaimStats {
-            stalled: 1,
             guard_panics: 2,
             ..Default::default()
         };
         let m = a.merge(a);
-        assert_eq!(m.stalled, 2);
         assert_eq!(m.guard_panics, 4);
     }
 }

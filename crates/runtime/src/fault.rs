@@ -95,9 +95,9 @@ pub enum CommError {
     /// The target structure's reclamation backlog is at its configured
     /// byte cap (see `PressureConfig` in `rcuarray-reclaim`): the write
     /// was refused rather than growing the backlog. Retrying after a
-    /// quiesce may succeed — unless a stalled reader pins the backlog,
-    /// in which case the error keeps surfacing until stall detection
-    /// clears it.
+    /// quiesce may succeed — unless a stalled reader holds the backlog,
+    /// in which case the error keeps surfacing until that reader
+    /// checkpoints, parks or exits.
     Backpressure {
         /// The operation that was refused.
         op: OpKind,

@@ -33,7 +33,7 @@ pub use rcuarray_service;
 pub mod prelude {
     pub use rcuarray::{
         Backpressure, Config, EbrArray, ElemRef, Element, LeakArray, PressureConfig, QsbrArray,
-        RcuArray, ReclaimStats, Scheme, StallPolicy, DEFAULT_BLOCK_SIZE,
+        RcuArray, ReclaimStats, Scheme, DEFAULT_BLOCK_SIZE,
     };
     pub use rcuarray_baselines::{SyncArray, UnsafeArray};
     pub use rcuarray_ebr::{EpochGuard, EpochZone};

@@ -4,7 +4,7 @@
 
 use rcuarray_repro::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 fn cfg() -> Config {
     Config::with_block_size(32)
@@ -19,6 +19,9 @@ fn stress<S: rcuarray::Scheme>(make: impl Fn(&Arc<Cluster>) -> RcuArray<u64, S>)
     array.resize(256);
     let stop = AtomicBool::new(false);
     let reads_done = AtomicUsize::new(0);
+    // The resizer starts only once both readers have finished a read, so
+    // every reader overlaps the resizes however the scheduler runs them.
+    let first_reads = Barrier::new(3);
 
     std::thread::scope(|s| {
         // Updaters: slot i always holds i * 2 + 1.
@@ -41,15 +44,22 @@ fn stress<S: rcuarray::Scheme>(make: impl Fn(&Arc<Cluster>) -> RcuArray<u64, S>)
             let array = array.clone();
             let stop = &stop;
             let reads_done = &reads_done;
+            let first_reads = &first_reads;
             s.spawn(move || {
                 let mut k = 0usize;
-                while !stop.load(Ordering::Relaxed) {
+                loop {
                     let cap = array.capacity();
                     let i = (k * 7) % cap;
                     let v = array.read(i);
                     assert!(v == 0 || v == (i as u64) * 2 + 1, "slot {i} corrupted: {v}");
                     k += 1;
                     reads_done.fetch_add(1, Ordering::Relaxed);
+                    if k == 1 {
+                        first_reads.wait();
+                    }
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 array.checkpoint();
             });
@@ -57,7 +67,9 @@ fn stress<S: rcuarray::Scheme>(make: impl Fn(&Arc<Cluster>) -> RcuArray<u64, S>)
         // Resizer: grows the array 60 times while all of that runs.
         let array2 = array.clone();
         let stop2 = &stop;
+        let first_reads = &first_reads;
         s.spawn(move || {
+            first_reads.wait();
             for _ in 0..60 {
                 array2.resize(32);
                 std::thread::yield_now();

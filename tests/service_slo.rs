@@ -43,21 +43,20 @@ fn drain<T: Element, S: Scheme>(a: &RcuArray<T, S>) -> bool {
     false
 }
 
-/// The tentpole acceptance scenario: a stalled EBR pin drives the
-/// byte-capped backlog to its cap while clients keep asking for growth.
-/// The service must answer `Response::Overloaded` (not wedge, not
-/// panic), keep serving reads throughout, and once the pin drops the
-/// backlog and the queue-depth gauge must both return to baseline.
+/// A stalled QSBR reader drives the byte-capped backlog to its cap while
+/// clients keep asking for growth. The service must answer
+/// `Response::Overloaded` (not wedge, not panic), keep serving reads
+/// throughout, and once the reader leaves the backlog and the
+/// queue-depth gauge must both return to baseline.
 #[test]
 fn backpressure_surfaces_as_overloaded_and_service_recovers() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let cap = 2048u64;
     let c = cluster(2);
-    let array: EbrArray<u64> = EbrArray::with_config(
+    let array: QsbrArray<u64> = QsbrArray::with_config(
         &c,
         Config {
             pressure: PressureConfig::bounded(cap),
-            stall: StallPolicy::after(1, 64),
             ..small_cfg()
         },
     );
@@ -78,8 +77,9 @@ fn backpressure_surfaces_as_overloaded_and_service_recovers() {
         let (ready_tx, ready_rx) = mpsc::channel();
         let (done_tx, done_rx) = mpsc::channel::<()>();
         s.spawn(|| {
-            // Hold a read-side pin open indefinitely: every retirement
-            // from the grows below must be evacuated, not freed.
+            // Stay inside a view without checkpointing: this reader holds
+            // back the minimum, so no retirement from the grows below
+            // can be freed.
             service.array().with_view(move |v| {
                 assert_eq!(v.get(0), 5);
                 ready_tx.send(()).unwrap();
@@ -117,10 +117,10 @@ fn backpressure_surfaces_as_overloaded_and_service_recovers() {
         done_tx.send(()).unwrap();
     });
 
-    // Pin dropped: the evacuated backlog must drain to zero...
+    // Reader gone: the backlog must drain to zero...
     assert!(
         drain(service.array()),
-        "backlog failed to drain after the stalled pin released"
+        "backlog failed to drain after the stalled reader left"
     );
     assert_eq!(service.array().stats().reclaim.pending_bytes, 0);
     // ...growth must resume...
